@@ -10,12 +10,11 @@ Result<std::unique_ptr<Node>> Node::Create(tf::Fabric* fabric,
   auto node = std::unique_ptr<Node>(new Node(fabric, options));
 
   // Register the node's DRAM with the fabric. The slab holds the object
-  // pool and, when the shared-index extension is on, the index table —
-  // both inside the exported (disaggregated) window.
+  // pool, the index table when the shared-index extension is on, and the
+  // generation table — all inside the exported (disaggregated) window.
   uint64_t index_bytes =
       options.enable_shared_index ? options.shared_index_bytes : 0;
-  uint64_t gen_bytes =
-      options.mapped_remote_reads ? options.generation_table_bytes : 0;
+  uint64_t gen_bytes = options.generation_table_bytes;
   MDOS_ASSIGN_OR_RETURN(
       node->node_id_,
       fabric->AddNode(options.name,
@@ -30,15 +29,13 @@ Result<std::unique_ptr<Node>> Node::Create(tf::Fabric* fabric,
         fabric->ExportRegion(node->node_id_, options.pool_size,
                              index_bytes));
   }
-  if (options.mapped_remote_reads) {
-    // The generation table lives in the slab behind the index window and
-    // is exported so peers and clients can validate descriptors with
-    // plain fabric loads.
-    MDOS_ASSIGN_OR_RETURN(
-        node->gen_region_,
-        fabric->ExportRegion(node->node_id_,
-                             options.pool_size + index_bytes, gen_bytes));
-  }
+  // The generation table lives in the slab behind the index window and
+  // is exported so peers and clients can validate descriptors (mapped
+  // reads, cached lookups) with plain fabric loads.
+  MDOS_ASSIGN_OR_RETURN(
+      node->gen_region_,
+      fabric->ExportRegion(node->node_id_, options.pool_size + index_bytes,
+                           gen_bytes));
 
   MDOS_RETURN_IF_ERROR(node->BuildStack());
   return node;
@@ -61,7 +58,7 @@ Status Node::BuildStack() {
   // Generation table next: (re)formatted in place with a strictly
   // increasing epoch, so descriptors stamped by a previous incarnation
   // fail the epoch check instead of matching near-zero fresh counters.
-  if (options_.mapped_remote_reads) {
+  {
     MDOS_ASSIGN_OR_RETURN(tf::NodeMemory * memory, fabric_->node(node_id_));
     uint64_t index_bytes =
         options_.enable_shared_index ? options_.shared_index_bytes : 0;
@@ -88,9 +85,7 @@ Status Node::BuildStack() {
   if (index_writer_ != nullptr) {
     store_->SetSharedIndex(index_writer_.get(), index_region_);
   }
-  if (gen_table_ != nullptr) {
-    store_->SetGenerationTable(gen_table_.get(), gen_region_);
-  }
+  store_->SetGenerationTable(gen_table_.get(), gen_region_);
 
   dist::RegistryOptions registry_options = options_.registry;
   registry_options.fabric = fabric_;
@@ -106,8 +101,7 @@ Status Node::BuildStack() {
     store->RequestReheal(dead_node);
   });
 
-  service_ = std::make_unique<dist::StoreService>(
-      store_.get(), registry_->lookup_cache());
+  service_ = std::make_unique<dist::StoreService>(store_.get());
   rpc_server_ = std::make_unique<rpc::RpcServer>();
   service_->RegisterWith(*rpc_server_);
   return Status::OK();

@@ -5,18 +5,22 @@
 //     disaggregated window is exported as the store's object pool,
 //   * the Plasma store serving local clients over a Unix socket,
 //   * the RPC server (gRPC stand-in) exposing the store to peer stores,
-//   * the peer registry (DistHooks) with optional lookup cache and the
-//     usage tracker for distributed pin bookkeeping, plus the peer
-//     health monitor (heartbeat + failure streaks, see
+//   * the generation table, exported next to the pool, that peers read
+//     to validate cached and mapped locations into this node's pool,
+//   * the peer registry (DistHooks) with its generation-validated lookup
+//     cache and the usage tracker for distributed pin bookkeeping, plus
+//     the peer health monitor (heartbeat + failure streaks, see
 //     dist/remote_registry.h).
 //
 // Failure testing: Kill() tears the store and RPC server down abruptly —
-// no pin release, no notice to peers — simulating a crash; Restart()
+// no pin release, no goodbye to peers — simulating a crash; Restart()
 // rebuilds the whole software stack on the SAME fabric identity (node
-// id, pool region, shared-index region) and the same RPC port, so
-// surviving peers' channels redial into the new incarnation without any
-// re-configuration. The restarted store comes up empty (a crash loses
-// pool contents' table state), exactly like a real store restart.
+// id, pool, shared-index and generation regions) and the same RPC port
+// with a higher generation-table epoch, so surviving peers' channels
+// redial into the new incarnation without any re-configuration, and
+// their cached locations into the old one fail validation. The
+// restarted store comes up empty (a crash loses pool contents' table
+// state), exactly like a real store restart.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +53,14 @@ struct NodeOptions {
   // calling Plasma.Lookup.
   bool enable_shared_index = false;
   uint64_t shared_index_bytes = 1 << 20;  // ~16k slots
-  // Mapped data plane (zero-RPC remote reads): export a generation table
-  // next to the pool, serve remote Gets as generation-stamped
-  // descriptors, and let clients copy through their own fabric mapping
-  // with a seqlock-style re-check (plasma/generation_table.h).
+  // Mapped data plane (zero-RPC remote reads): serve remote Gets as
+  // generation-stamped descriptors and let clients copy through their
+  // own fabric mapping with a seqlock-style re-check
+  // (plasma/generation_table.h).
   bool mapped_remote_reads = false;
+  // Every node exports a generation table next to its pool, whether or
+  // not it serves mapped reads: peers validate their cached lookups
+  // (dist/lookup_cache.h) against it, and mapped readers their copies.
   uint64_t generation_table_bytes = 1 << 16;  // ~8k slots
   // k-way replication (StoreOptions::replication_factor): every sealed
   // object on this node is fanned out until k nodes hold a copy, and the

@@ -3,12 +3,14 @@
 // The paper's prototype pays one Plasma.Lookup RPC for every remote Get;
 // §V-B suggests "caching the look-up results" as future work. This cache
 // implements it: a bounded, thread-safe LRU map of id → home-store
-// location, populated by successful lookups and invalidated by
-// DeleteNotice broadcasts (and by failed buffer resolutions).
+// location. It is policy-free storage: the owning RemoteStoreRegistry
+// decides what to admit (generation-stamped locations only) and
+// re-validates every hit against the home store's generation table
+// before serving it, dropping entries that fail (and entries homed on a
+// peer that died or restarted).
 //
-// Thread-safety: the store's event-loop thread reads/writes on Get paths
-// while the RPC server thread invalidates on DeleteNotice — one mutex
-// covers both.
+// Thread-safety: several store shard threads read and write it on their
+// Get paths concurrently — one mutex covers all access.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 //   Plasma.Lookup       — batched sealed-object location lookup
 //   Plasma.Probe        — id-uniqueness probe (sees unsealed objects too)
 //   Plasma.Pin/Unpin    — distributed usage tracking (remote pins)
-//   Plasma.DeleteNotice — lookup-cache invalidation broadcast
 //   Plasma.Ping         — liveness heartbeat driving peer health states
 //   Plasma.Replicate    — push one sealed object's bytes to a replica
 //   Plasma.ReplicaDrop  — origin deleted: drop the local replica copy
@@ -30,7 +29,6 @@ inline constexpr const char* kMethodLookup = "Plasma.Lookup";
 inline constexpr const char* kMethodProbe = "Plasma.Probe";
 inline constexpr const char* kMethodPin = "Plasma.Pin";
 inline constexpr const char* kMethodUnpin = "Plasma.Unpin";
-inline constexpr const char* kMethodDeleteNotice = "Plasma.DeleteNotice";
 inline constexpr const char* kMethodPing = "Plasma.Ping";
 inline constexpr const char* kMethodReplicate = "Plasma.Replicate";
 inline constexpr const char* kMethodReplicaDrop = "Plasma.ReplicaDrop";
@@ -49,9 +47,10 @@ struct HelloReply {
   // Shared-index extension: fabric region of the replier's index table;
   // UINT32_MAX when the extension is disabled.
   uint32_t index_region = UINT32_MAX;
-  // Mapped data plane: fabric region of the replier's generation table
-  // (plasma/generation_table.h); UINT32_MAX when mapped remote reads are
-  // disabled. Peers attach it to validate descriptors against eviction.
+  // Fabric region of the replier's generation table
+  // (plasma/generation_table.h); UINT32_MAX when it exports none. Peers
+  // attach it to stamp index-path descriptors and to validate cached
+  // locations against delete, eviction, spill and restart.
   uint32_t gen_region = UINT32_MAX;
   std::string store_name;
   void EncodeTo(wire::Writer& w) const;
@@ -112,20 +111,6 @@ struct PinReply {
 // Unpin reuses the same shapes.
 using UnpinRequest = PinRequest;
 using UnpinReply = PinReply;
-
-// ---- delete notice ---------------------------------------------------------
-
-struct DeleteNotice {
-  ObjectId id;
-  uint32_t from_node = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteNotice> DecodeFrom(wire::Reader& r);
-};
-
-struct DeleteNoticeAck {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteNoticeAck> DecodeFrom(wire::Reader& r);
-};
 
 // ---- ping (heartbeat) ------------------------------------------------------
 

@@ -259,7 +259,6 @@ void RemoteStoreRegistry::RecordPeerResult(
     const std::shared_ptr<Peer>& peer, bool ok) {
   bool died = false;
   bool recovered = false;
-  bool flush_inline = false;
   {
     MutexLock lock(mutex_);
     if (ok) {
@@ -293,11 +292,6 @@ void RemoteStoreRegistry::RecordPeerResult(
         if (next == PeerState::kDead) {
           died = true;
           ++stats_.peers_died;
-          // A dead peer's parked notices are pointless: if it ever comes
-          // back it does so with an empty store and an empty cache.
-          peer->dropped_notices += peer->queued_notices.size();
-          stats_.notices_dropped += peer->queued_notices.size();
-          peer->queued_notices.clear();
         }
         peer->state = next;
       }
@@ -307,22 +301,6 @@ void RemoteStoreRegistry::RecordPeerResult(
   if (recovered) {
     MDOS_LOG_INFO << "node " << self_node_ << ": peer " << peer->node_id
                   << " recovered";
-    // Queued notices are sent by the heartbeat thread so a data-path
-    // caller (a store shard thread) is never stalled behind up to
-    // max_queued_notices sequential RPCs. Without a heartbeat the
-    // observer of the recovery is a control/test path — flush inline.
-    {
-      MutexLock hb_lock(heartbeat_mutex_);
-      flush_inline = !heartbeat_running_;
-    }
-    if (flush_inline) {
-      std::deque<DeleteNotice> to_flush;
-      {
-        MutexLock lock(mutex_);
-        to_flush.swap(peer->queued_notices);
-      }
-      FlushQueuedNotices(peer, std::move(to_flush));
-    }
   }
 }
 
@@ -353,53 +331,6 @@ void RemoteStoreRegistry::HandlePeerDeath(uint32_t node_id) {
   // Pins the dead peer held on us must stop blocking eviction — the
   // cluster layer wires this to Store::ReleasePinsForPeer.
   if (on_peer_dead_) on_peer_dead_(node_id);
-}
-
-void RemoteStoreRegistry::ParkNoticeLocked(Peer& peer,
-                                           const DeleteNotice& notice) {
-  if (peer.state == PeerState::kDead) {
-    // The death path's drop-the-queue rule: a dead peer's notices are
-    // pointless (a resurrected store comes back with an empty cache).
-    ++peer.dropped_notices;
-    ++stats_.notices_dropped;
-    return;
-  }
-  if (peer.queued_notices.size() >= options_.max_queued_notices) {
-    peer.queued_notices.pop_front();  // oldest first: newer supersede
-    ++peer.dropped_notices;
-    ++stats_.notices_dropped;
-  }
-  peer.queued_notices.push_back(notice);
-}
-
-void RemoteStoreRegistry::FlushQueuedNotices(
-    const std::shared_ptr<Peer>& peer, std::deque<DeleteNotice> notices) {
-  for (size_t i = 0; i < notices.size(); ++i) {
-    auto reply = peer->channel->CallTyped<DeleteNoticeAck>(
-        kMethodDeleteNotice, notices[i], options_.rpc_timeout_ms);
-    if (reply.ok()) {
-      RecordPeerResult(peer, true);
-      MutexLock lock(mutex_);
-      ++stats_.notices_flushed;
-      continue;
-    }
-    bool connectivity = IsConnectivityError(reply.status());
-    RecordPeerResult(peer, !connectivity);
-    if (!connectivity) {
-      // Application-level rejection: the peer is alive but refused this
-      // notice — drop it alone and keep flushing.
-      MutexLock lock(mutex_);
-      ++stats_.notices_dropped;
-      continue;
-    }
-    // The peer relapsed mid-flush. Re-park the remainder for the next
-    // recovery (dropped wholesale if the failure just declared it dead).
-    MutexLock lock(mutex_);
-    for (size_t j = i; j < notices.size(); ++j) {
-      ParkNoticeLocked(*peer, notices[j]);
-    }
-    return;
-  }
 }
 
 int64_t RemoteStoreRegistry::HedgeDelayNs(
@@ -462,6 +393,18 @@ void RemoteStoreRegistry::LaunchLookupAttempt(
   }).detach();
 }
 
+bool RemoteStoreRegistry::CachedLocationValid(
+    const plasma::RemoteObjectLocation& hit,
+    const std::vector<std::shared_ptr<Peer>>& peers, tf::AccessBatch* wave) {
+  for (const auto& peer : peers) {
+    if (peer->node_id != hit.home_node) continue;
+    return peer->gen_reader.has_value() &&
+           peer->gen_reader->Epoch(wave) == hit.gen_epoch &&
+           peer->gen_reader->Read(hit.gen_slot, wave) == hit.generation;
+  }
+  return false;  // home not live: its locations dangle
+}
+
 std::vector<std::optional<plasma::RemoteObjectLocation>>
 RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
                                   Deadline deadline) {
@@ -478,38 +421,32 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
   // dead-replica failover.
   auto peers = SnapshotRankedPeers();
 
-  // 1. Lookup cache (§V-B extension). Generation-stamped entries are
-  // re-validated against the home peer's mapped generation table: a
-  // bumped slot (evict / spill / delete since we cached the descriptor)
-  // or a changed epoch (the peer restarted) invalidates the entry and
-  // sends the id down the index/RPC path for a fresh descriptor.
+  // 1. Lookup cache (§V-B extension). Every hit is re-validated against
+  // the home peer's mapped generation table before it is served: a
+  // bumped slot (evict / spill / delete since we cached the descriptor),
+  // a changed epoch (the peer restarted), or a table that cannot be read
+  // (the peer is dead or exports none) invalidates the entry and sends
+  // the id down the index/RPC path for a fresh descriptor. The checks
+  // for distinct ids are independent loads: one pipelined wave.
   uint64_t gen_invalidations = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (cache_ != nullptr) {
-      auto hit = cache_->Get(ids[i]);
-      if (hit.has_value()) {
-        bool valid = true;
-        if (hit->gen_region != UINT32_MAX) {
-          for (const auto& peer : peers) {
-            if (peer->node_id != hit->home_node) continue;
-            if (peer->gen_reader.has_value() &&
-                (peer->gen_reader->Epoch() != hit->gen_epoch ||
-                 peer->gen_reader->Read(hit->gen_slot) !=
-                     hit->generation)) {
-              valid = false;
-            }
-            break;
+  {
+    tf::AccessBatch wave(options_.fabric != nullptr
+                             ? options_.fabric->config().remote
+                             : tf::LatencyParams{});
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (cache_ != nullptr) {
+        auto hit = cache_->Get(ids[i]);
+        if (hit.has_value()) {
+          if (CachedLocationValid(*hit, peers, &wave)) {
+            out[i] = *hit;
+            continue;
           }
+          cache_->Invalidate(ids[i]);
+          ++gen_invalidations;
         }
-        if (valid) {
-          out[i] = *hit;
-          continue;
-        }
-        cache_->Invalidate(ids[i]);
-        ++gen_invalidations;
       }
+      unresolved.push_back(i);
     }
-    unresolved.push_back(i);
   }
   if (gen_invalidations > 0) {
     MutexLock lock(mutex_);
@@ -567,7 +504,9 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
         loc.gen_epoch = epoch;
       }
       out[i] = loc;
-      if (cache_ != nullptr) cache_->Put(ids[i], loc);
+      // Only stamped locations are cached: an unstamped one could not
+      // be re-validated on a later hit.
+      if (cache_ != nullptr && have_gen) cache_->Put(ids[i], loc);
       ++batch_index_hits;
     }
     if (batch_index_hits > 0) {
@@ -699,7 +638,9 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
       size_t i = unresolved[k];
       if (k < winning->entries.size() && winning->entries[k].found) {
         out[i] = winning->entries[k].location;
-        if (cache_ != nullptr) cache_->Put(ids[i], *out[i]);
+        if (cache_ != nullptr && out[i]->gen_region != UINT32_MAX) {
+          cache_->Put(ids[i], *out[i]);
+        }
       } else {
         still_unresolved.push_back(i);
       }
@@ -780,7 +721,7 @@ Status RemoteStoreRegistry::PinRemote(
   if (reply.ok()) RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
   if (!status.ok()) {
     // Either the peer is unreachable or it no longer has the object
-    // (e.g. a lost DeleteNotice left us a stale cache entry). Both ways
+    // (deleted or evicted after the lookup). Both ways
     // the location must not be served again: invalidate and let the
     // caller re-run the full lookup path.
     if (cache_ != nullptr) cache_->Invalidate(id);
@@ -827,43 +768,9 @@ void RemoteStoreRegistry::UnpinRemote(
 }
 
 void RemoteStoreRegistry::NotifyDeleted(const ObjectId& id) {
+  // Peers need no message: the delete bumped this store's generation
+  // table, which fails their cached copies of the location on next use.
   if (cache_ != nullptr) cache_->Invalidate(id);
-  DeleteNotice notice;
-  notice.id = id;
-  notice.from_node = self_node_;
-  for (const auto& peer : SnapshotPeers()) {
-    {
-      // One critical section for the state check AND the drop/queue, so
-      // a concurrent suspect→dead transition can't park a notice on a
-      // peer whose queue was just cleared by the death path.
-      MutexLock lock(mutex_);
-      if (peer->state == PeerState::kDead) {
-        ++peer->dropped_notices;
-        ++stats_.notices_dropped;
-        continue;
-      }
-      if (peer->state == PeerState::kSuspect) {
-        // Park the notice; the queue is flushed when the peer recovers,
-        // so its lookup cache reconverges.
-        ParkNoticeLocked(*peer, notice);
-        continue;
-      }
-    }
-    auto reply = peer->channel->CallTyped<DeleteNoticeAck>(
-        kMethodDeleteNotice, notice, options_.rpc_timeout_ms);
-    if (!reply.ok()) {
-      bool connectivity = IsConnectivityError(reply.status());
-      RecordPeerResult(peer, !connectivity);
-      if (connectivity) {
-        // The notice was lost in flight; park it for the recovery flush
-        // (dropped if the failure just declared the peer dead).
-        MutexLock lock(mutex_);
-        ParkNoticeLocked(*peer, notice);
-      }
-    } else {
-      RecordPeerResult(peer, true);
-    }
-  }
 }
 
 std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
@@ -883,8 +790,6 @@ std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
     entry.failed_rpcs = peer->failed_rpcs;
     entry.reconnects = channel_stats.reconnects;
     entry.heartbeats = peer->heartbeats;
-    entry.queued_notices = peer->queued_notices.size();
-    entry.dropped_notices = peer->dropped_notices;
     entry.ms_since_ok =
         peer->last_ok_ns > 0 ? (now - peer->last_ok_ns) / 1000000 : -1;
     entry.ewma_latency_us =
@@ -1031,25 +936,9 @@ void RemoteStoreRegistry::HeartbeatLoop() {
     if (!heartbeat_running_) break;
     heartbeat_mutex_.Unlock();
     PingAllPeers();
-    FlushRecoveredPeers();
     heartbeat_mutex_.Lock();
   }
   heartbeat_mutex_.Unlock();
-}
-
-void RemoteStoreRegistry::FlushRecoveredPeers() {
-  for (const auto& peer : SnapshotPeers()) {
-    std::deque<DeleteNotice> to_flush;
-    {
-      MutexLock lock(mutex_);
-      if (peer->state != PeerState::kHealthy ||
-          peer->queued_notices.empty()) {
-        continue;
-      }
-      to_flush.swap(peer->queued_notices);
-    }
-    FlushQueuedNotices(peer, std::move(to_flush));
-  }
 }
 
 void RemoteStoreRegistry::PingAllPeers() {

@@ -1,11 +1,16 @@
 // RemoteStoreRegistry — a store's view of its peer stores (DistHooks).
 //
 // Implements the distributed half of §IV-A2: every store keeps one RPC
-// channel per peer (the paper's gRPC stubs) and resolves unknown object
-// ids by asking the peers, probes peers for id uniqueness on Create, and
-// broadcasts delete notices. Two §V-B extensions are layered in front of
-// the RPC path:
-//   * lookup cache — repeated remote Gets skip the RPC entirely,
+// channel per peer (the paper's gRPC stubs), resolves unknown object
+// ids by asking the peers, and probes peers for id uniqueness on Create.
+// Two §V-B extensions are layered in front of the RPC path:
+//   * lookup cache — repeated remote Gets skip the RPC entirely. Only
+//     generation-stamped locations are cached, and every hit is
+//     re-validated against the home peer's mapped generation table
+//     (epoch and slot generation) before it is served: delete, evict,
+//     spill and restart each bump one of the two, so a stale entry is
+//     caught by two fabric loads and dropped without any message from
+//     the home store,
 //   * shared index  — when a peer exports its index region (Hello
 //     handshake), lookups read the peer's table in disaggregated memory
 //     and fall back to RPC only on a miss.
@@ -21,28 +26,23 @@
 // dead peers entirely — a dead peer costs zero RPCs per call, not an
 // rpc_timeout_ms stall — while the heartbeat keeps pinging it so a
 // restarted peer is re-admitted automatically (the channels redial with
-// backoff, see rpc/channel.h). DeleteNotices bound for a suspect peer
-// are queued (bounded) and flushed when it recovers so lookup caches
-// reconverge; notices for a dead peer are dropped — a crashed store
-// lost its cache anyway. Declaring a peer dead also drops our pins on
-// it from the usage tracker, invalidates its cached locations, and
+// backoff, see rpc/channel.h). Declaring a peer dead also drops our pins
+// on it from the usage tracker, invalidates its cached locations, and
 // fires the on-peer-dead callback (the cluster layer wires it to
 // Store::ReleasePinsForPeer so the corpse stops blocking eviction).
 //
 // Thread-safety: LookupRemote/IdKnownRemotely/Pin/Unpin may be called
 // concurrently from several of the store's shard threads (the sharded
 // core resolves remote ids from whichever shard homes the requesting
-// connection); AddPeer/ReleaseAllPins from control threads; DeleteNotice
-// invalidations land on the RPC server thread; the heartbeat runs its
-// own thread. Peer-list and health access is mutex-guarded, RpcChannels
-// are internally synchronized, the lookup cache and usage tracker carry
-// their own mutexes, and RPC calls are always issued outside the
-// registry mutex.
+// connection); AddPeer/ReleaseAllPins from control threads; the
+// heartbeat runs its own thread. Peer-list and health access is
+// mutex-guarded, RpcChannels are internally synchronized, the lookup
+// cache and usage tracker carry their own mutexes, and RPC calls are
+// always issued outside the registry mutex.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -73,14 +73,16 @@ enum class PeerState : uint8_t {
 };
 
 struct RegistryOptions {
-  // Cache successful lookups (paper §V-B "caching the look-up results").
-  bool enable_lookup_cache = false;
+  // Cache successful generation-stamped lookups (paper §V-B "caching the
+  // look-up results"). Off reproduces the paper's lookup-per-Get path.
+  bool enable_lookup_cache = true;
   size_t lookup_cache_capacity = 4096;
   // Injected per-RPC latency modelling the data-centre LAN.
   int64_t simulated_rtt_ns = 0;
   // Bound on every peer RPC.
   uint64_t rpc_timeout_ms = 5000;
-  // Required for the shared-index read path (attaching peer regions).
+  // Required for the shared-index read path and for lookup-cache hits
+  // (both attach peer regions); without it the cache never serves.
   tf::Fabric* fabric = nullptr;
 
   // ---- failure handling ---------------------------------------------------
@@ -97,8 +99,6 @@ struct RegistryOptions {
   // suspect → dead.
   uint32_t suspect_after_failures = 1;
   uint32_t dead_after_failures = 3;
-  // Bound on DeleteNotices parked per suspect peer awaiting recovery.
-  size_t max_queued_notices = 1024;
   // Channel redial/backoff policy (see rpc/channel.h).
   uint32_t redial_backoff_min_ms = 10;
   uint32_t redial_backoff_max_ms = 1000;
@@ -134,11 +134,10 @@ struct RegistryStats {
   uint64_t heartbeats = 0;    // Plasma.Ping calls issued
   uint64_t peers_died = 0;    // healthy/suspect → dead transitions
   uint64_t peers_recovered = 0;  // suspect/dead → healthy transitions
-  uint64_t notices_flushed = 0;  // queued DeleteNotices delivered
-  uint64_t notices_dropped = 0;  // queued DeleteNotices discarded
   uint64_t stale_pins_detected = 0;  // failed pins at cached locations
-  // Mapped data plane: cached descriptors invalidated because their
-  // generation (or epoch) no longer matched the peer's generation table.
+  // Cached descriptors invalidated because their generation (or epoch)
+  // no longer matched, or could not be read from, the home peer's
+  // generation table.
   uint64_t generation_retries = 0;
   // k-way replication: Plasma.Replicate + Plasma.ReplicaDrop calls issued.
   uint64_t replicate_rpcs = 0;
@@ -236,9 +235,9 @@ class RemoteStoreRegistry : public plasma::DistHooks {
     // reader points into.
     std::optional<tf::AttachedRegion> index_attachment;
     std::optional<plasma::SharedIndexReader> index_reader;
-    // Mapped data plane (set when the peer exports a generation table):
-    // index-path lookups stamp descriptors with the peer's current
-    // generation, and cached descriptors are re-validated against it.
+    // Generation table (set when the peer exports one): index-path
+    // lookups stamp descriptors with the peer's current generation, and
+    // cached descriptors are re-validated against it.
     // Reset together with the index mapping when the peer dies, so a
     // restarted incarnation is never read through a stale attachment.
     uint32_t gen_region = UINT32_MAX;
@@ -253,16 +252,12 @@ class RemoteStoreRegistry : public plasma::DistHooks {
     uint32_t failure_streak = 0;
     uint64_t failed_rpcs = 0;
     uint64_t heartbeats = 0;
-    uint64_t dropped_notices = 0;
     int64_t last_ok_ns = 0;  // monotonic time of the last successful call
     // EWMA of observed RPC round-trip latency (same guard contract as
     // the health fields). 0 = no sample yet. Replica placement and
     // replica-read selection prefer the lowest value among healthy
     // peers.
     int64_t ewma_latency_ns = 0;
-    // DeleteNotices parked while the peer is suspect, flushed on
-    // recovery (bounded by max_queued_notices).
-    std::deque<DeleteNotice> queued_notices;
   };
 
   std::vector<std::shared_ptr<Peer>> SnapshotPeers() const
@@ -276,7 +271,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
       EXCLUDES(mutex_);
 
   // Folds one call outcome into the peer's health machine and performs
-  // the resulting transition work (death cleanup / recovery flush).
+  // the resulting transition work (death cleanup).
   void RecordPeerResult(const std::shared_ptr<Peer>& peer, bool ok)
       EXCLUDES(mutex_);
   // Folds one successful call's round trip into the peer's latency EWMA.
@@ -338,22 +333,21 @@ class RemoteStoreRegistry : public plasma::DistHooks {
                            std::shared_ptr<const LookupRequest> request,
                            Deadline deadline,
                            std::shared_ptr<LookupWave> wave, bool is_hedge);
-  // Parks a DeleteNotice for later flush: dead peers drop it, a full
-  // queue evicts the oldest.
-  void ParkNoticeLocked(Peer& peer, const DeleteNotice& notice)
-      REQUIRES(mutex_);
-  // Transition bookkeeping; both return work to run outside the mutex.
+  // True when `hit` can be served: its home peer is live, exports a
+  // generation table, and both the epoch and the slot generation read
+  // from it match the ones stamped on the cached location. The two
+  // loads are charged to `wave`.
+  static bool CachedLocationValid(
+      const plasma::RemoteObjectLocation& hit,
+      const std::vector<std::shared_ptr<Peer>>& peers,
+      tf::AccessBatch* wave);
+  // Death bookkeeping, run outside the registry mutex.
   void HandlePeerDeath(uint32_t node_id);
-  void FlushQueuedNotices(const std::shared_ptr<Peer>& peer,
-                          std::deque<DeleteNotice> notices);
 
   void HeartbeatLoop() EXCLUDES(heartbeat_mutex_);
   // One heartbeat round: ping every peer (including dead ones — that is
   // the recovery path).
   void PingAllPeers() EXCLUDES(mutex_);
-  // Sends the queued notices of every healthy peer (heartbeat thread;
-  // also the inline recovery path when no heartbeat runs).
-  void FlushRecoveredPeers() EXCLUDES(mutex_);
 
   const uint32_t self_node_;
   const RegistryOptions options_;
@@ -366,8 +360,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   RegistryStats stats_ GUARDED_BY(mutex_);
 
   // Heartbeat thread state. heartbeat_mutex_ is a leaf lock: never
-  // taken with mutex_ held (RecordPeerResult checks it only after
-  // releasing the registry mutex).
+  // taken with mutex_ held.
   Mutex heartbeat_mutex_ ACQUIRED_AFTER(mutex_);
   std::thread heartbeat_thread_ GUARDED_BY(heartbeat_mutex_);
   CondVar heartbeat_cv_;

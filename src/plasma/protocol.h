@@ -274,9 +274,10 @@ struct StoreStats {
   uint64_t peer_failed_rpcs = 0;   // cumulative failed peer calls
   uint64_t peer_reconnects = 0;    // channel redials that succeeded
   uint64_t peer_heartbeats = 0;    // Plasma.Ping calls sent
-  uint64_t peer_queued_notices = 0;  // delete notices parked for recovery
-  // Mapped data plane (zero-RPC remote reads; all zero when
-  // StoreOptions::mapped_remote_reads is off).
+  uint64_t peer_queued_notices = 0;  // always 0 (delete notices removed)
+  // Mapped data plane (zero-RPC remote reads; all but
+  // generation_retries are zero when StoreOptions::mapped_remote_reads
+  // is off — the lookup cache is validated either way).
   uint64_t mapped_reads = 0;       // remote Gets served as descriptors
   uint64_t mapped_bytes = 0;       // payload bytes those Gets exposed
   uint64_t generation_retries = 0;  // cached lookups voided by a gen bump
@@ -365,8 +366,8 @@ struct PeerStatsEntry {
   uint64_t failed_rpcs = 0;      // cumulative failed calls to this peer
   uint64_t reconnects = 0;       // channel redials that succeeded
   uint64_t heartbeats = 0;       // Plasma.Ping calls sent to this peer
-  uint64_t queued_notices = 0;   // delete notices parked for recovery
-  uint64_t dropped_notices = 0;  // notices discarded (dead peer / cap)
+  uint64_t queued_notices = 0;   // always 0 (delete notices removed)
+  uint64_t dropped_notices = 0;  // always 0 (delete notices removed)
   int64_t ms_since_ok = -1;      // ms since the last successful call
   int64_t ewma_latency_us = -1;  // smoothed call latency; -1 = no sample
   void EncodeTo(wire::Writer& w) const;

@@ -1219,8 +1219,9 @@ bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
                                 std::memory_order_relaxed);
   } else if (options_.pin_remote_objects && dist_hooks_ != nullptr) {
     // Pin before handing the location out: a failed pin means the
-    // location is stale (lost DeleteNotice, restarted peer) and must not
-    // reach the client — it would read dangling pool offsets.
+    // location went stale after its lookup (deleted or evicted at the
+    // home, restarted peer) and must not reach the client — it would
+    // read dangling pool offsets.
     // mdos-check: allow-blocking(DistHooks pin RPC, deadline-bounded; correctness requires the pin to land before the location reaches the client)
     Status pinned = dist_hooks_->PinRemote(id, loc, deadline);
     if (!pinned.ok()) return false;
@@ -1630,7 +1631,6 @@ void Store::HandleDelete(Shard& home, ClientConn& conn,
         // mdos-check: allow-blocking(DistHooks replica-drop RPC fan-out, deadline-bounded; best-effort cleanup)
         dist_hooks_->DropReplicas(request->id, replica_holders);
       }
-      // mdos-check: allow-blocking(DistHooks delete notice, deadline-bounded; peers self-heal via stale-pin detection if it is lost)
       dist_hooks_->NotifyDeleted(request->id);
     }
     Notification notice;
@@ -1712,11 +1712,12 @@ std::vector<std::optional<RemoteObjectLocation>> Store::LookupManyForPeer(
       loc.offset = entry->offset;
       loc.data_size = entry->data_size;
       loc.metadata_size = entry->metadata_size;
-      if (options_.mapped_remote_reads && gen_table_ != nullptr) {
+      if (gen_table_ != nullptr) {
         // Stamp the descriptor with the current generation. Sampled
         // under the owner mutex, so it is consistent with the offset
         // above: any destructive transition after this point bumps the
-        // slot, and the reader's post-copy re-check catches it.
+        // slot, and the reader's post-copy re-check (or the peer's
+        // cache-hit validation) catches it.
         loc.generation = gen_table_->Read(ids[i]);
         loc.gen_slot = gen_table_->SlotFor(ids[i]);
         loc.gen_region = gen_region_;
@@ -2266,7 +2267,6 @@ StoreStats Store::stats() {
       s.peer_failed_rpcs += peer.failed_rpcs;
       s.peer_reconnects += peer.reconnects;
       s.peer_heartbeats += peer.heartbeats;
-      s.peer_queued_notices += peer.queued_notices;
     }
   }
   return s;

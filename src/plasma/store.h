@@ -200,7 +200,9 @@ class DistHooks {
   virtual void UnpinRemote(const ObjectId& id,
                            const RemoteObjectLocation& loc) = 0;
 
-  // Broadcast that this store dropped `id` (lookup-cache invalidation).
+  // This store dropped `id`: forget any cached remote location for it.
+  // Peers need no message — the delete bumped the generation table
+  // their cached locations are validated against.
   virtual void NotifyDeleted(const ObjectId& id) = 0;
 
   // Peer failure handling: per-peer health rows for observability

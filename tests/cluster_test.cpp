@@ -1,8 +1,13 @@
 // Tests for the cluster layer: multi-node assembly, transparent remote
-// gets, N-node (rack-scale) operation, and latency-model integration.
+// gets, N-node (rack-scale) operation, latency-model integration, and
+// cached remote locations healing after the home store moved the bytes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -221,6 +226,119 @@ TEST(ClusterTest, StopReleasesRemotePinsCleanly) {
   EXPECT_EQ((*cluster)->node(0)->store().RemotePins(id), 1u);
   // Stop() must release the pin before teardown (no leaked pins).
   (*cluster)->Stop();
+}
+
+// A peer's lookup cache holds the descriptor of the first incarnation
+// when the home deletes the id and re-creates it with other bytes. The
+// home tells no peer; the seal of the new incarnation bumped the id's
+// slot in the home's generation table, so the cached descriptor fails
+// validation and the peer's next Get reads the new bytes. Run on both
+// remote read paths: pinned RPC and mapped descriptors.
+TEST(ClusterTest, CachedLocationFollowsDeleteAndRecreate) {
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped reads" : "pinned reads");
+    NodeOptions options = SmallNode();
+    options.mapped_remote_reads = mapped;
+    auto cluster = Cluster::CreateTwoNode(options, FastFabric());
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    auto producer = (*cluster)->node(0)->CreateClient("producer");
+    auto consumer = (*cluster)->node(1)->CreateClient("consumer");
+    ASSERT_TRUE(producer.ok() && consumer.ok());
+    auto& registry = (*cluster)->node(1)->registry();
+
+    const ObjectId id = ObjectId::FromName("recreated");
+    std::string first(64 << 10, '\0');
+    SplitMix64(1).Fill(first.data(), first.size());
+    ASSERT_TRUE((*producer)->CreateAndSeal(id, first).ok());
+    {
+      auto buffer = (*consumer)->Get(id, 1000);
+      ASSERT_TRUE(buffer.ok()) << buffer.status();
+      auto crc = buffer->ChecksumData();
+      ASSERT_TRUE(crc.ok()) << crc.status();
+      ASSERT_EQ(*crc, Crc32(first));
+    }
+    ASSERT_TRUE((*consumer)->Release(id).ok());
+    ASSERT_NE(registry.lookup_cache(), nullptr);
+    ASSERT_EQ(registry.lookup_cache()->size(), 1u);
+
+    ASSERT_TRUE((*producer)->Delete(id).ok());
+    std::string second(96 << 10, '\0');
+    SplitMix64(2).Fill(second.data(), second.size());
+    ASSERT_TRUE((*producer)->CreateAndSeal(id, second).ok());
+
+    auto buffer = (*consumer)->Get(id, 1000);
+    ASSERT_TRUE(buffer.ok()) << buffer.status();
+    EXPECT_EQ(buffer->data_size(), second.size());
+    auto crc = buffer->ChecksumData();
+    ASSERT_TRUE(crc.ok()) << crc.status();
+    EXPECT_EQ(*crc, Crc32(second));
+    ASSERT_TRUE((*consumer)->Release(id).ok());
+
+    // The generation check caught the old descriptor before it reached
+    // the client: no failed pin, no mapped-read fallback.
+    EXPECT_GE(registry.stats().generation_retries, 1u);
+    EXPECT_EQ(registry.stats().stale_pins_detected, 0u);
+    EXPECT_EQ((*cluster)->node(1)->store().stats().mapped_fallbacks, 0u);
+  }
+}
+
+// The home spills an object a peer has cached. The spill bumped the
+// id's generation, so the peer drops its cached descriptor, the fresh
+// lookup restores the object from disk, and the Get returns the
+// original bytes, CRC-exact. Run on both remote read paths.
+TEST(ClusterTest, CachedLocationFollowsSpillAndRestore) {
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped reads" : "pinned reads");
+    const std::string spill_dir = "/tmp/mdos-cluster-cache-spill-" +
+                                  std::to_string(::getpid());
+    NodeOptions options = SmallNode();
+    options.pool_size = 2 << 20;  // two 1 MiB objects per home pool
+    options.mapped_remote_reads = mapped;
+    options.spill_dir = spill_dir;
+    {
+      auto cluster = Cluster::CreateTwoNode(options, FastFabric());
+      ASSERT_TRUE(cluster.ok()) << cluster.status();
+      auto producer = (*cluster)->node(0)->CreateClient("producer");
+      auto consumer = (*cluster)->node(1)->CreateClient("consumer");
+      ASSERT_TRUE(producer.ok() && consumer.ok());
+      auto& registry = (*cluster)->node(1)->registry();
+
+      const ObjectId victim = ObjectId::FromName("cached-then-spilled");
+      std::string payload(1 << 20, '\0');
+      SplitMix64(3).Fill(payload.data(), payload.size());
+      ASSERT_TRUE((*producer)->CreateAndSeal(victim, payload).ok());
+      ASSERT_TRUE((*consumer)->Get(victim, 1000).ok());
+      ASSERT_TRUE((*consumer)->Release(victim).ok());
+      ASSERT_EQ(registry.lookup_cache()->size(), 1u);
+
+      // Two more 1 MiB objects on the home demote the (released) victim
+      // to the spill file and recycle its pool bytes.
+      for (int i = 0; i < 2; ++i) {
+        std::string filler(1 << 20, '\0');
+        SplitMix64(10 + i).Fill(filler.data(), filler.size());
+        ASSERT_TRUE((*producer)
+                        ->CreateAndSeal(ObjectId::FromName(
+                                            "spill-filler-" +
+                                            std::to_string(i)),
+                                        filler)
+                        .ok());
+      }
+      ASSERT_GT((*cluster)->node(0)->store().stats().spills, 0u);
+
+      auto buffer = (*consumer)->Get(victim, 1000);
+      ASSERT_TRUE(buffer.ok()) << buffer.status();
+      auto crc = buffer->ChecksumData();
+      ASSERT_TRUE(crc.ok()) << crc.status();
+      EXPECT_EQ(*crc, Crc32(payload));
+      ASSERT_TRUE((*consumer)->Release(victim).ok());
+
+      EXPECT_GE((*cluster)->node(0)->store().stats().spill_restores, 1u);
+      EXPECT_GE(registry.stats().generation_retries, 1u);
+      EXPECT_EQ(registry.stats().stale_pins_detected, 0u);
+      EXPECT_EQ((*cluster)->node(1)->store().stats().mapped_fallbacks, 0u);
+    }
+    std::filesystem::remove_all(spill_dir);
+  }
 }
 
 }  // namespace

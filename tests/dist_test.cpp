@@ -1,6 +1,6 @@
 // Tests for the store↔store distributed layer: the RPC service surface,
 // the peer registry (DistHooks implementation), id uniqueness probes,
-// remote pins, and delete-notice cache invalidation. Uses two
+// remote pins, and generation-validated lookup caching. Uses two
 // fabric-backed stores wired manually (the cluster layer is tested in
 // cluster_test.cpp).
 #include <gtest/gtest.h>
@@ -11,17 +11,13 @@
 #include "plasma/client.h"
 #include "plasma/store.h"
 #include "rpc/server.h"
+#include "test_cluster_util.h"
 #include "tf/fabric.h"
 
 namespace mdos::dist {
 namespace {
 
-tf::FabricConfig FastFabric() {
-  tf::FabricConfig config;
-  config.local = tf::LatencyParams{0, 0.0};
-  config.remote = tf::LatencyParams{0, 0.0};
-  return config;
-}
+using testutil::FastFabric;
 
 // Two stores on one fabric, RPC servers up, registries NOT yet meshed so
 // individual tests control the wiring.
@@ -30,25 +26,27 @@ class DistTest : public ::testing::Test {
   void SetUp() override {
     fabric_ = std::make_unique<tf::Fabric>(FastFabric());
     for (int i = 0; i < 2; ++i) {
-      auto node_id = fabric_->AddNode("n" + std::to_string(i), 8 << 20);
-      ASSERT_TRUE(node_id.ok());
-      auto region = fabric_->ExportRegion(*node_id, 0, 8 << 20);
-      ASSERT_TRUE(region.ok());
+      auto layout = testutil::AddNodeWithGenerationTable(
+          *fabric_, "n" + std::to_string(i), 8 << 20);
+      ASSERT_TRUE(layout.ok()) << layout.status();
+      layouts_[i] = *layout;
       plasma::StoreOptions options;
       options.name = "dist-store-" + std::to_string(i);
-      auto store = plasma::Store::CreateOnFabric(options, fabric_.get(),
-                                                 *node_id, *region);
+      auto store = plasma::Store::CreateOnFabric(
+          options, fabric_.get(), layouts_[i].node, layouts_[i].pool_region);
       ASSERT_TRUE(store.ok()) << store.status();
       stores_[i] = std::move(store).value();
+      stores_[i]->SetGenerationTable(&layouts_[i].gen_table,
+                                     layouts_[i].gen_region);
 
       RegistryOptions registry_options;
       registry_options.enable_lookup_cache = true;
+      registry_options.fabric = fabric_.get();
       registries_[i] = std::make_unique<RemoteStoreRegistry>(
-          *node_id, registry_options);
+          layouts_[i].node, registry_options);
       stores_[i]->SetDistHooks(registries_[i].get());
 
-      services_[i] = std::make_unique<StoreService>(
-          stores_[i].get(), registries_[i]->lookup_cache());
+      services_[i] = std::make_unique<StoreService>(stores_[i].get());
       services_[i]->RegisterWith(servers_[i]);
       ASSERT_TRUE(stores_[i]->Start().ok());
       ASSERT_TRUE(servers_[i].Start(0).ok());
@@ -77,6 +75,7 @@ class DistTest : public ::testing::Test {
   }
 
   std::unique_ptr<tf::Fabric> fabric_;
+  testutil::FabricNodeLayout layouts_[2];
   std::unique_ptr<plasma::Store> stores_[2];
   std::unique_ptr<RemoteStoreRegistry> registries_[2];
   std::unique_ptr<StoreService> services_[2];
@@ -217,7 +216,7 @@ TEST_F(DistTest, LookupCacheHitsOnRepeatedGets) {
   EXPECT_GE(stats.hits, 4u);  // first get misses, rest hit
 }
 
-TEST_F(DistTest, DeleteNoticeInvalidatesPeerCaches) {
+TEST_F(DistTest, DeleteOnHomeFailsPeerCachedLocation) {
   Mesh();
   auto producer = Client(1);
   auto consumer = Client(0);
@@ -230,9 +229,49 @@ TEST_F(DistTest, DeleteNoticeInvalidatesPeerCaches) {
   ASSERT_TRUE((*consumer)->Release(id).ok());
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
 
+  // The home sends no message on delete; the bump in its generation
+  // table fails node 0's cached copy on next use: the Get reports
+  // not-found and the entry is dropped.
   ASSERT_TRUE((*producer)->Delete(id).ok());
-  // The DeleteNotice broadcast must have invalidated node 0's cache.
+  auto gone = (*consumer)->Get(id, /*timeout_ms=*/0);
+  EXPECT_EQ(gone.status().code(), StatusCode::kKeyError) << gone.status();
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
+  EXPECT_GE(registries_[0]->stats().generation_retries, 1u);
+}
+
+// A cached hit is served only when its home's epoch and slot generation
+// were both read and both match. A stamped entry whose home is not a
+// live peer, or whose home's generation table is not attached, cannot be
+// checked and must be dropped instead of served.
+TEST_F(DistTest, UncheckableCachedLocationIsNotServed) {
+  Mesh();
+  auto producer = Client(1);
+  ASSERT_TRUE(producer.ok());
+  ObjectId id = ObjectId::FromName("uncheckable");
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "bytes").ok());
+  auto looked_up = registries_[0]->LookupRemote({id});
+  ASSERT_TRUE(looked_up[0].has_value());
+  const plasma::RemoteObjectLocation stale = *looked_up[0];
+  ASSERT_NE(stale.gen_region, UINT32_MAX);
+  ASSERT_TRUE((*producer)->Delete(id).ok());
+
+  // Home missing from the live peers.
+  plasma::RemoteObjectLocation orphan = stale;
+  orphan.home_node = 99;
+  registries_[0]->lookup_cache()->Put(id, orphan);
+  const uint64_t retries = registries_[0]->stats().generation_retries;
+  EXPECT_FALSE(registries_[0]->LookupRemote({id})[0].has_value());
+  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
+  EXPECT_EQ(registries_[0]->stats().generation_retries, retries + 1);
+
+  // Home live, but this registry has no fabric to read its table with.
+  RemoteStoreRegistry bare(stores_[0]->node_id(), RegistryOptions{});
+  ASSERT_TRUE(bare.AddPeer("127.0.0.1", servers_[1].port()).ok());
+  ASSERT_NE(bare.lookup_cache(), nullptr);
+  bare.lookup_cache()->Put(id, stale);
+  EXPECT_FALSE(bare.LookupRemote({id})[0].has_value());
+  EXPECT_EQ(bare.lookup_cache()->size(), 0u);
+  EXPECT_EQ(bare.stats().generation_retries, 1u);
 }
 
 TEST_F(DistTest, UnreachablePeerDegradesToNotFound) {

@@ -1,8 +1,8 @@
 // Peer failure handling tests: reconnecting RPC channels, the per-peer
 // health state machine (healthy → suspect → dead), dead-peer cleanup
-// (cache invalidation, usage-tracker drops, remote-pin release), queued
-// DeleteNotice flush on recovery, and the cluster-level kill/restart
-// round trip.
+// (cache invalidation, usage-tracker drops, remote-pin release), stale
+// cached locations caught by the generation check and the pin, and the
+// cluster-level kill/restart round trip.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -133,28 +133,30 @@ class FailoverDistTest : public ::testing::Test {
  protected:
   void Init(dist::RegistryOptions registry_options) {
     fabric_ = std::make_unique<tf::Fabric>(FastFabric());
+    registry_options.fabric = fabric_.get();
     for (int i = 0; i < 2; ++i) {
-      auto node_id = fabric_->AddNode("f" + std::to_string(i), 8 << 20);
-      ASSERT_TRUE(node_id.ok());
-      auto region = fabric_->ExportRegion(*node_id, 0, 8 << 20);
-      ASSERT_TRUE(region.ok());
+      auto layout = testutil::AddNodeWithGenerationTable(
+          *fabric_, "f" + std::to_string(i), 8 << 20);
+      ASSERT_TRUE(layout.ok()) << layout.status();
+      layouts_[i] = *layout;
       plasma::StoreOptions options;
       options.name = "failover-store-" + std::to_string(i);
-      auto store = plasma::Store::CreateOnFabric(options, fabric_.get(),
-                                                 *node_id, *region);
+      auto store = plasma::Store::CreateOnFabric(
+          options, fabric_.get(), layouts_[i].node, layouts_[i].pool_region);
       ASSERT_TRUE(store.ok()) << store.status();
       stores_[i] = std::move(store).value();
+      stores_[i]->SetGenerationTable(&layouts_[i].gen_table,
+                                     layouts_[i].gen_region);
 
       registries_[i] = std::make_unique<dist::RemoteStoreRegistry>(
-          *node_id, registry_options);
+          layouts_[i].node, registry_options);
       stores_[i]->SetDistHooks(registries_[i].get());
       plasma::Store* raw_store = stores_[i].get();
       registries_[i]->SetPeerDeathHandler([raw_store](uint32_t dead) {
         (void)raw_store->ReleasePinsForPeer(dead);
       });
 
-      services_[i] = std::make_unique<dist::StoreService>(
-          stores_[i].get(), registries_[i]->lookup_cache());
+      services_[i] = std::make_unique<dist::StoreService>(stores_[i].get());
       services_[i]->RegisterWith(servers_[i]);
       ASSERT_TRUE(stores_[i]->Start().ok());
       auto port = StartEphemeral(servers_[i]);
@@ -191,6 +193,7 @@ class FailoverDistTest : public ::testing::Test {
   }
 
   std::unique_ptr<tf::Fabric> fabric_;
+  testutil::FabricNodeLayout layouts_[2];
   std::unique_ptr<plasma::Store> stores_[2];
   std::unique_ptr<dist::RemoteStoreRegistry> registries_[2];
   std::unique_ptr<dist::StoreService> services_[2];
@@ -255,8 +258,8 @@ TEST_F(FailoverDistTest, DeadPeerReleasesItsPinsOnSurvivor) {
 
 TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
   Init(FastFailureOptions());
-  // One-way mesh: node 0 sees node 1, but node 1 has no peers — so its
-  // DeleteNotice broadcast reaches nobody, simulating a lost notice.
+  // One-way mesh: node 0 sees node 1, but node 1 has no peers — the
+  // home tells nobody about the delete below.
   ASSERT_TRUE(
       registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
 
@@ -270,15 +273,25 @@ TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE((*consumer)->Release(id).ok());
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
+  auto stale = registries_[0]->lookup_cache()->Get(id);
+  ASSERT_TRUE(stale.has_value());
 
-  // The notice is lost; node 0's cache still points at the dead offset.
+  // Node 0's cache still points at the dead offset after the delete.
   ASSERT_TRUE((*producer)->Delete(id).ok());
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
 
-  // The next Get must NOT serve the dangling location: the failed pin
-  // invalidates the entry and the re-run lookup finds nothing.
+  // The next Get must NOT serve the dangling location: the generation
+  // check fails the entry and the re-run lookup finds nothing.
   auto gone = (*consumer)->Get(id, /*timeout_ms=*/0);
   EXPECT_FALSE(gone.ok());
+  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
+  EXPECT_GE(registries_[0]->stats().generation_retries, 1u);
+
+  // The pin is the second guard: a stale location that reaches it (the
+  // object was deleted after the check) fails the pin, and the failed
+  // pin drops the cache entry too.
+  registries_[0]->lookup_cache()->Put(id, *stale);
+  EXPECT_FALSE(registries_[0]->PinRemote(id, *stale).ok());
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
   EXPECT_GE(registries_[0]->stats().stale_pins_detected, 1u);
 
@@ -321,48 +334,6 @@ TEST_F(FailoverDistTest, FailedUnpinReRecordsThePin) {
   registries_[0]->ReleaseAllPins();
   EXPECT_EQ(registries_[0]->usage().total_pins(), 0u);
   EXPECT_TRUE(WaitUntil([&] { return stores_[1]->RemotePins(id) == 0; }));
-}
-
-TEST_F(FailoverDistTest, QueuedDeleteNoticesFlushOnRecovery) {
-  Init(FastFailureOptions());
-  ASSERT_TRUE(
-      registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
-  ASSERT_TRUE(
-      registries_[1]->AddPeer("127.0.0.1", servers_[0].port()).ok());
-
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("reconverge");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "temp").ok());
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  // Node 0's endpoint goes down; node 1 marks it suspect on the first
-  // failed probe.
-  servers_[0].Stop();
-  (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge"));
-  EXPECT_EQ(registries_[1]->peer_state(stores_[0]->node_id()),
-            dist::PeerState::kSuspect);
-
-  // Deleting now parks the notice for the suspect peer instead of losing
-  // it — node 0's stale cache entry survives for the moment.
-  ASSERT_TRUE((*producer)->Delete(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  // Endpoint restored on the same port; the next successful call flushes
-  // the queue and node 0's cache reconverges.
-  ASSERT_TRUE(servers_[0].Start(ports_[0]).ok());
-  EXPECT_TRUE(WaitUntil([&] {
-    (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge"));
-    return registries_[1]->stats().notices_flushed >= 1;
-  }));
-  EXPECT_TRUE(WaitUntil(
-      [&] { return registries_[0]->lookup_cache()->size() == 0; }));
-  EXPECT_EQ(registries_[1]->peer_state(stores_[0]->node_id()),
-            dist::PeerState::kHealthy);
 }
 
 TEST_F(FailoverDistTest, HeartbeatDetectsDeathAndRecovery) {

@@ -356,7 +356,7 @@ TEST(DistMessagesTest, LookupRoundTrip) {
   EXPECT_FALSE(d.entries[1].found);
 }
 
-TEST(DistMessagesTest, ProbePinNotice) {
+TEST(DistMessagesTest, ProbeAndPin) {
   ProbeRequest probe;
   probe.id = ObjectId::FromName("p");
   EXPECT_EQ(RoundTrip(probe).id, probe.id);
@@ -374,13 +374,6 @@ TEST(DistMessagesTest, ProbePinNotice) {
   PinReply pin_reply;
   pin_reply.status = Status::KeyError("gone");
   EXPECT_EQ(RoundTrip(pin_reply).status.code(), StatusCode::kKeyError);
-
-  DeleteNotice notice;
-  notice.id = ObjectId::FromName("del");
-  notice.from_node = 2;
-  DeleteNotice dnotice = RoundTrip(notice);
-  EXPECT_EQ(dnotice.id, notice.id);
-  EXPECT_EQ(dnotice.from_node, 2u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "common/object_id.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "plasma/generation_table.h"
 #include "rpc/server.h"
 #include "tf/fabric.h"
 
@@ -93,6 +94,36 @@ inline std::string ScratchDir(const std::string& tag) {
 inline Result<uint16_t> StartEphemeral(rpc::RpcServer& server) {
   MDOS_RETURN_IF_ERROR(server.Start(0));
   return server.port();
+}
+
+// One fabric node laid out the way cluster::Node lays it out: the pool
+// at offset 0 and a generation table right behind it, both exported.
+// The hand-wired dist and failover fixtures use it so their stores stamp
+// peer lookups and their registries can validate cached locations.
+struct FabricNodeLayout {
+  tf::NodeId node = 0;
+  tf::RegionId pool_region = 0;
+  tf::RegionId gen_region = 0;
+  plasma::GenerationTable gen_table;
+};
+
+inline Result<FabricNodeLayout> AddNodeWithGenerationTable(
+    tf::Fabric& fabric, const std::string& name, uint64_t pool_bytes,
+    uint64_t gen_bytes = 1 << 16) {
+  FabricNodeLayout layout;
+  MDOS_ASSIGN_OR_RETURN(layout.node,
+                        fabric.AddNode(name, pool_bytes + gen_bytes));
+  MDOS_ASSIGN_OR_RETURN(layout.pool_region,
+                        fabric.ExportRegion(layout.node, 0, pool_bytes));
+  MDOS_ASSIGN_OR_RETURN(
+      layout.gen_region,
+      fabric.ExportRegion(layout.node, pool_bytes, gen_bytes));
+  MDOS_ASSIGN_OR_RETURN(tf::NodeMemory * memory, fabric.node(layout.node));
+  MDOS_ASSIGN_OR_RETURN(layout.gen_table,
+                        plasma::GenerationTable::Create(
+                            memory->data() + pool_bytes, gen_bytes,
+                            /*epoch=*/1));
+  return layout;
 }
 
 // Node profile for failure-handling suites: small pool, lookup cache

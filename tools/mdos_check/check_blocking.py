@@ -26,6 +26,11 @@ above) the call line both silences the finding and CUTS the call edge —
 the documented blocking seams (the DistHooks peer-RPC boundary, the
 connect handshake's ordered blocking flush) stay visible in the code as
 reviewable suppressions instead of silently passing.
+
+Waiver ratchet: the number of `allow-blocking` markers in the checked
+tree may not exceed the ceiling committed in blocking_waiver_ceiling.txt
+next to this file. A new waiver fails the check unless another one is
+removed; when a waiver is removed, lower the ceiling with it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,33 @@ import os
 from findings import Finding
 
 CHECK = "blocking-call"
+
+CEILING_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "blocking_waiver_ceiling.txt")
+
+
+@dataclasses.dataclass
+class WaiverCeiling:
+    path: str
+    line: int    # line of the number, for the finding's location
+    value: int
+
+
+def load_waiver_ceiling(path=CEILING_FILE) -> WaiverCeiling:
+    """The first non-comment line of `path` holds the ceiling."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, text in enumerate(f, start=1):
+            text = text.strip()
+            if text and not text.startswith("#"):
+                return WaiverCeiling(os.path.abspath(path), lineno,
+                                     int(text))
+    raise ValueError(f"{path}: no ceiling value")
+
+
+def count_waivers(source_set) -> int:
+    return sum(1 for sf in source_set.sources.values()
+               for markers in sf.suppressions.values()
+               for check, _ in markers if check == "blocking")
 
 
 @dataclasses.dataclass
@@ -126,8 +158,18 @@ def _rule_for(call):
     return None
 
 
-def run(source_set) -> list[Finding]:
+def run(source_set, waiver_ceiling=None) -> list[Finding]:
     findings = []
+
+    if waiver_ceiling is not None:
+        waivers = count_waivers(source_set)
+        if waivers > waiver_ceiling.value:
+            findings.append(Finding(
+                waiver_ceiling.path, waiver_ceiling.line, CHECK,
+                f"{waivers} allow-blocking waivers exceed the committed "
+                f"ceiling of {waiver_ceiling.value}; make the new call "
+                f"non-blocking (or remove another waiver) instead of "
+                f"raising the ceiling"))
 
     defs_by_name = {}
     for fn in source_set.all_functions():

@@ -77,6 +77,20 @@ def main():
     clean = SourceSet(
         [os.path.join(src, "plasma", "clean_blocking.cc")], src)
     expect("blocking/clean", clean, check_blocking.run(clean), [])
+    # Waiver ratchet: the clean TU's one waiver is over a ceiling of 0
+    # and within a ceiling of 1.
+    over = check_blocking.load_waiver_ceiling(
+        os.path.join(src, "waiver_ceiling_exceeded.txt"))
+    expect("blocking/ceiling-exceeded", clean,
+           check_blocking.run(clean, waiver_ceiling=over), [
+               ("waiver_ceiling_exceeded.txt", 3, "blocking-call",
+                "1 allow-blocking waivers exceed the committed ceiling "
+                "of 0"),
+           ])
+    met = check_blocking.load_waiver_ceiling(
+        os.path.join(src, "waiver_ceiling_met.txt"))
+    expect("blocking/ceiling-met", clean,
+           check_blocking.run(clean, waiver_ceiling=met), [])
 
     # --- status-discipline ----------------------------------------------
     bad = SourceSet([os.path.join(src, "plasma", "bad_status.cc")], src)
