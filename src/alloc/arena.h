@@ -1,7 +1,7 @@
 // Arena — bump allocator over a caller-provided byte span.
 //
-// Used by arrowlite batch construction and by tests that need scratch
-// space inside a shared segment without full allocator bookkeeping.
+// Used by tests that need scratch space inside a shared segment without
+// full allocator bookkeeping.
 #pragma once
 
 #include <cstdint>

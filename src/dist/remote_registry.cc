@@ -100,48 +100,7 @@ Status RemoteStoreRegistry::AddPeer(const std::string& host,
   peer->channel = std::move(channel);
   peer->last_ok_ns = MonotonicNanos();
 
-  // Shared-index extension: attach the peer's exported index table so
-  // lookups can read it directly over the fabric instead of calling RPC.
-  if (reply.index_region != UINT32_MAX && options_.fabric != nullptr) {
-    auto attached =
-        options_.fabric->Attach(self_node_, reply.index_region);
-    if (attached.ok()) {
-      peer->index_attachment.emplace(std::move(attached).value());
-      auto reader = plasma::SharedIndexReader::Open(
-          peer->index_attachment->unsafe_data(),
-          peer->index_attachment->size(),
-          options_.fabric->config().remote);
-      if (reader.ok()) {
-        peer->index_reader.emplace(std::move(reader).value());
-      } else {
-        MDOS_LOG_WARN << "peer " << reply.node_id
-                      << " exported an unreadable index: "
-                      << reader.status();
-        peer->index_attachment.reset();
-      }
-    }
-  }
-
-  // Mapped data plane: attach the peer's generation table so descriptors
-  // can be stamped (index-path lookups) and re-validated (cache hits).
-  if (reply.gen_region != UINT32_MAX && options_.fabric != nullptr) {
-    auto attached = options_.fabric->Attach(self_node_, reply.gen_region);
-    if (attached.ok()) {
-      peer->gen_attachment.emplace(std::move(attached).value());
-      auto reader = plasma::GenerationReader::Open(
-          peer->gen_attachment->unsafe_data(),
-          peer->gen_attachment->size(), options_.fabric->config().remote);
-      if (reader.ok()) {
-        peer->gen_region = reply.gen_region;
-        peer->gen_reader.emplace(std::move(reader).value());
-      } else {
-        MDOS_LOG_WARN << "peer " << reply.node_id
-                      << " exported an unreadable generation table: "
-                      << reader.status();
-        peer->gen_attachment.reset();
-      }
-    }
-  }
+  peer->regions = AttachRegions(reply);
 
   bool replaced = false;
   {
@@ -161,6 +120,45 @@ Status RemoteStoreRegistry::AddPeer(const std::string& host,
     cache_->InvalidateNode(reply.node_id);
   }
   return Status::OK();
+}
+
+RemoteStoreRegistry::PeerRegions RemoteStoreRegistry::AttachRegions(
+    const HelloReply& reply) const {
+  PeerRegions regions;
+  if (options_.fabric == nullptr) return regions;
+  const tf::LatencyParams& remote = options_.fabric->config().remote;
+  if (reply.index_region != UINT32_MAX) {
+    auto attached = options_.fabric->Attach(self_node_, reply.index_region);
+    if (attached.ok()) {
+      auto reader = plasma::SharedIndexReader::Open(
+          attached->unsafe_data(), attached->size(), remote);
+      if (reader.ok()) {
+        regions.index_attachment.emplace(std::move(attached).value());
+        regions.index_reader.emplace(std::move(reader).value());
+      } else {
+        MDOS_LOG_WARN << "peer " << reply.node_id
+                      << " exported an unreadable index: "
+                      << reader.status();
+      }
+    }
+  }
+  if (reply.gen_region != UINT32_MAX) {
+    auto attached = options_.fabric->Attach(self_node_, reply.gen_region);
+    if (attached.ok()) {
+      auto reader = plasma::GenerationReader::Open(
+          attached->unsafe_data(), attached->size(), remote);
+      if (reader.ok()) {
+        regions.gen_region = reply.gen_region;
+        regions.gen_attachment.emplace(std::move(attached).value());
+        regions.gen_reader.emplace(std::move(reader).value());
+      } else {
+        MDOS_LOG_WARN << "peer " << reply.node_id
+                      << " exported an unreadable generation table: "
+                      << reader.status();
+      }
+    }
+  }
+  return regions;
 }
 
 size_t RemoteStoreRegistry::peer_count() const {
@@ -308,18 +306,15 @@ void RemoteStoreRegistry::HandlePeerDeath(uint32_t node_id) {
   // Our cached locations into the corpse's pool dangle.
   if (cache_ != nullptr) cache_->InvalidateNode(node_id);
   // Drop the fabric mappings of the corpse's index and generation
-  // tables: a restarted peer re-exports fresh regions through a new
-  // Hello handshake, and reading the previous incarnation through a
-  // stale attachment could validate descriptors against dead memory.
+  // tables: a peer that comes back re-announces its regions through a
+  // new Hello handshake (ReattachPeer), and reading a previous
+  // incarnation through a stale attachment could validate descriptors
+  // against dead memory.
   {
     MutexLock lock(mutex_);
     for (auto& peer : peers_) {
       if (peer->node_id != node_id) continue;
-      peer->index_reader.reset();
-      peer->index_attachment.reset();
-      peer->gen_reader.reset();
-      peer->gen_attachment.reset();
-      peer->gen_region = UINT32_MAX;
+      peer->regions = PeerRegions{};
     }
   }
   // Pins we hold on the dead peer have no remote state left to release.
@@ -386,10 +381,12 @@ void RemoteStoreRegistry::LaunchLookupAttempt(
     }
     wave->cv.NotifyAll();
     {
+      // Notify under the lock: the destructor frees async_cv_ as soon as
+      // it sees zero in flight.
       MutexLock lock(async_mutex_);
       --async_inflight_;
+      async_cv_.NotifyAll();
     }
-    async_cv_.NotifyAll();
   }).detach();
 }
 
@@ -398,9 +395,9 @@ bool RemoteStoreRegistry::CachedLocationValid(
     const std::vector<std::shared_ptr<Peer>>& peers, tf::AccessBatch* wave) {
   for (const auto& peer : peers) {
     if (peer->node_id != hit.home_node) continue;
-    return peer->gen_reader.has_value() &&
-           peer->gen_reader->Epoch(wave) == hit.gen_epoch &&
-           peer->gen_reader->Read(hit.gen_slot, wave) == hit.generation;
+    return peer->regions.gen_reader.has_value() &&
+           peer->regions.gen_reader->Epoch(wave) == hit.gen_epoch &&
+           peer->regions.gen_reader->Read(hit.gen_slot, wave) == hit.generation;
   }
   return false;  // home not live: its locations dangle
 }
@@ -460,18 +457,18 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
   // base latency per probe — this is what keeps a batched mapped Get
   // near local Get latency.
   for (const auto& peer : peers) {
-    if (!peer->index_reader.has_value() || unresolved.empty()) continue;
+    if (!peer->regions.index_reader.has_value() || unresolved.empty()) continue;
     std::vector<size_t> still_unresolved;
     uint64_t batch_index_hits = 0;
     tf::AccessBatch wave(options_.fabric != nullptr
                              ? options_.fabric->config().remote
                              : tf::LatencyParams{});
-    const bool have_gen = peer->gen_reader.has_value();
+    const bool have_gen = peer->regions.gen_reader.has_value();
     // One epoch sample covers the sweep: it precedes every probe, and a
     // restart between sample and probe bumps the epoch the client
     // re-checks after its copy.
     const uint64_t epoch =
-        have_gen ? peer->gen_reader->Epoch(&wave) : 0;
+        have_gen ? peer->regions.gen_reader->Epoch(&wave) : 0;
     for (size_t i : unresolved) {
       // Generation sample BEFORE the index probe. Writers withdraw the
       // index entry first and bump second, so an index hit proves the
@@ -483,10 +480,10 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
       uint64_t gen = 0;
       uint64_t slot = 0;
       if (have_gen) {
-        slot = peer->gen_reader->SlotFor(ids[i]);
-        gen = peer->gen_reader->Read(slot, &wave);
+        slot = peer->regions.gen_reader->SlotFor(ids[i]);
+        gen = peer->regions.gen_reader->Read(slot, &wave);
       }
-      auto indexed = peer->index_reader->Lookup(ids[i], &wave);
+      auto indexed = peer->regions.index_reader->Lookup(ids[i], &wave);
       if (!indexed.has_value()) {
         still_unresolved.push_back(i);
         continue;
@@ -500,7 +497,7 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
       if (have_gen) {
         loc.generation = gen;
         loc.gen_slot = slot;
-        loc.gen_region = peer->gen_region;
+        loc.gen_region = peer->regions.gen_region;
         loc.gen_epoch = epoch;
       }
       out[i] = loc;
@@ -965,8 +962,36 @@ void RemoteStoreRegistry::PingAllPeers() {
       // still proves liveness.
       ok = true;
     }
+    if (ok && peer_state(peer->node_id) == PeerState::kDead) {
+      // Death dropped the peer's regions; it is re-admitted only once
+      // they are attached again.
+      Status reattached = ReattachPeer(peer);
+      if (!reattached.ok()) {
+        MDOS_LOG_WARN << "node " << self_node_ << ": peer "
+                      << peer->node_id
+                      << " answers but its Hello failed: " << reattached;
+        ok = false;
+      }
+    }
     RecordPeerResult(peer, ok);
   }
+}
+
+Status RemoteStoreRegistry::ReattachPeer(const std::shared_ptr<Peer>& peer) {
+  HelloRequest request;
+  request.node_id = self_node_;
+  MDOS_ASSIGN_OR_RETURN(
+      HelloReply reply,
+      peer->channel->CallTyped<HelloReply>(kMethodHello, request,
+                                           options_.rpc_timeout_ms));
+  if (reply.node_id != peer->node_id) {
+    return Status::Invalid("peer port answered as node " +
+                           std::to_string(reply.node_id));
+  }
+  PeerRegions regions = AttachRegions(reply);
+  MutexLock lock(mutex_);
+  peer->regions = std::move(regions);
+  return Status::OK();
 }
 
 }  // namespace mdos::dist

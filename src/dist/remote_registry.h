@@ -225,24 +225,28 @@ class RemoteStoreRegistry : public plasma::DistHooks {
                     const std::vector<uint32_t>& holders) override;
 
  private:
+  // Fabric mappings of the tables a peer exports, each set when the peer
+  // exports it and a fabric is configured; an attachment owns the
+  // mapping its reader points into. The shared index lets lookups read
+  // the peer's table directly instead of calling RPC. The generation
+  // table stamps index-path descriptors with the peer's current
+  // generation, and cached descriptors are re-validated against it.
+  // Dropped when the peer dies and attached afresh from a new Hello when
+  // it comes back, so no incarnation is read through a stale mapping.
+  struct PeerRegions {
+    std::optional<tf::AttachedRegion> index_attachment;
+    std::optional<plasma::SharedIndexReader> index_reader;
+    uint32_t gen_region = UINT32_MAX;
+    std::optional<tf::AttachedRegion> gen_attachment;
+    std::optional<plasma::GenerationReader> gen_reader;
+  };
+
   struct Peer {
     uint32_t node_id = 0;
     uint32_t pool_region = UINT32_MAX;
     std::string store_name;
     std::shared_ptr<rpc::RpcChannel> channel;
-    // Shared-index read path (set when the peer exports an index region
-    // and a fabric is configured). The attachment owns the mapping the
-    // reader points into.
-    std::optional<tf::AttachedRegion> index_attachment;
-    std::optional<plasma::SharedIndexReader> index_reader;
-    // Generation table (set when the peer exports one): index-path
-    // lookups stamp descriptors with the peer's current generation, and
-    // cached descriptors are re-validated against it.
-    // Reset together with the index mapping when the peer dies, so a
-    // restarted incarnation is never read through a stale attachment.
-    uint32_t gen_region = UINT32_MAX;
-    std::optional<tf::AttachedRegion> gen_attachment;
-    std::optional<plasma::GenerationReader> gen_reader;
+    PeerRegions regions;
     // Health machine. Guarded by the registry mutex; the guard cannot be
     // spelled as GUARDED_BY here (the analysis has no alias tracking
     // across shared_ptr<Peer> copies), so the contract is enforced at
@@ -341,8 +345,13 @@ class RemoteStoreRegistry : public plasma::DistHooks {
       const plasma::RemoteObjectLocation& hit,
       const std::vector<std::shared_ptr<Peer>>& peers,
       tf::AccessBatch* wave);
+  // Attaches the regions a peer announced in its Hello reply.
+  PeerRegions AttachRegions(const HelloReply& reply) const;
   // Death bookkeeping, run outside the registry mutex.
   void HandlePeerDeath(uint32_t node_id);
+  // Repeats the Hello handshake with a dead peer that answers again and
+  // attaches the regions its current incarnation exports.
+  Status ReattachPeer(const std::shared_ptr<Peer>& peer) EXCLUDES(mutex_);
 
   void HeartbeatLoop() EXCLUDES(heartbeat_mutex_);
   // One heartbeat round: ping every peer (including dead ones — that is

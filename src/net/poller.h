@@ -7,30 +7,22 @@
 // the one thread-safe entry point — other shards use it to signal a
 // posted mailbox task, and Stop uses it for shutdown.
 //
-// Two backends behind one API:
+// One epoll instance per Poller. Read interest is level-triggered; write
+// interest is armed on demand and edge-triggered (EPOLLET) — a connection
+// with queued egress residue arms EPOLLOUT, gets exactly one event per
+// writability edge, and disarms once its queue drains, so an
+// idle-writable socket never spins the loop. (epoll_ctl MOD re-arms: if
+// the fd is already writable when interest is armed, the edge fires
+// immediately — no lost wakeups.) Connections arm and disarm through
+// net::FramedConn, which tracks the armed state.
 //
-//   * kEpoll (default on Linux): one epoll instance per Poller. Read
-//     interest is level-triggered; write interest is armed on demand and
-//     edge-triggered (EPOLLET) — a connection with queued egress residue
-//     arms EPOLLOUT, gets exactly one event per writability edge, and
-//     disarms once its queue drains, so an idle-writable socket never
-//     spins the loop. (epoll_ctl MOD re-arms: if the fd is already
-//     writable when interest is armed, the edge fires immediately — no
-//     lost wakeups.)
-//   * kPoll: the original poll(2) sweep, kept as a portable fallback and
-//     selectable with MDOS_FORCE_POLL=1 for testing. Write interest maps
-//     to POLLOUT in the rebuilt pollfd set; because interest is disarmed
-//     as soon as a queue drains, level-triggered POLLOUT does not spin.
-//
-// Callers that arm write interest must drain reads to EAGAIN (both the
-// store's batch reader and the RPC server do): while a fd is write-armed
-// under epoll its read events are edge-triggered too.
+// Callers that arm write interest must drain reads to EAGAIN
+// (FramedConn::Drain does): while a fd is write-armed its read events are
+// edge-triggered too.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "net/fd.h"
@@ -43,8 +35,8 @@ inline constexpr uint32_t kPollerWritable = 2u;
 
 class Poller {
  public:
-  enum class Backend : uint8_t { kEpoll, kPoll };
-
+  // A failed epoll_create1 is logged here and surfaces as the error of
+  // every Wait, which ends the owning loop.
   Poller();
 
   // Registers/unregisters a fd. Registration always includes read
@@ -68,15 +60,10 @@ class Poller {
   // Thread-safe: makes a concurrent/following Wait return immediately.
   void Wakeup();
 
-  Backend backend() const { return backend_; }
-
  private:
   void EpollUpdate(int fd, bool write_interest, int op);
 
-  Backend backend_ = Backend::kPoll;
   UniqueFd epoll_fd_;
-  // fd -> write interest armed. Also the registry for the poll backend.
-  std::unordered_map<int, bool> fds_;
   UniqueFd wake_read_;
   UniqueFd wake_write_;
 };

@@ -1,7 +1,6 @@
 #include "plasma/store.h"
 
 #include <fcntl.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -56,17 +55,17 @@ void Store::QueueReply(Shard& shard, ClientConn& conn, MessageType type,
   // back in — the encode → enqueue → flush cycle allocates nothing in
   // steady state and the payload is never copied.
   wire::Writer w;
-  w.Adopt(conn.tx.AcquireBuffer());
+  w.Adopt(conn.link.tx().AcquireBuffer());
   EncodeMessage(w, request_id, msg);
   Status queued =
-      conn.tx.Append(static_cast<uint32_t>(type), w.TakeBuffer());
+      conn.link.tx().Append(static_cast<uint32_t>(type), w.TakeBuffer());
   if (!queued.ok()) {
     // An unencodable reply (payload past the frame bound) must not
     // leave the request silently unanswered forever — shed the client
     // as the old blocking path did on a failed send.
     MDOS_LOG_WARN << "store: dropping client '" << conn.name
                   << "' on oversize reply: " << queued;
-    DropClient(shard, conn.fd.get());
+    DropClient(shard, conn.link.fd());
     return;
   }
   MarkDirty(shard, conn);
@@ -74,7 +73,7 @@ void Store::QueueReply(Shard& shard, ClientConn& conn, MessageType type,
   // batch of expensive requests (thousands of Lists, say) must not
   // build replies past the cap before the end-of-pass flush runs.
   // FlushConn sheds the connection if the flush leaves it over the cap.
-  if (conn.tx.pending_bytes() > options_.max_egress_queue_bytes) {
+  if (conn.link.tx().pending_bytes() > options_.max_egress_queue_bytes) {
     FlushConn(shard, conn);
   }
 }
@@ -82,7 +81,7 @@ void Store::QueueReply(Shard& shard, ClientConn& conn, MessageType type,
 void Store::MarkDirty(Shard& shard, ClientConn& conn) {
   if (conn.dirty) return;
   conn.dirty = true;
-  shard.dirty.push_back(conn.fd.get());
+  shard.dirty.push_back(conn.link.fd());
 }
 
 void Store::FlushDirtyConns(Shard& shard) {
@@ -98,7 +97,7 @@ void Store::FlushDirtyConns(Shard& shard) {
 }
 
 void Store::AccumulateTxStats(Shard& shard, ClientConn& conn) {
-  const net::TxQueueStats& now = conn.tx.stats();
+  const net::TxQueueStats& now = conn.link.tx().stats();
   net::TxQueueStats& last = conn.reported_tx;
   shard.tx_frames.fetch_add(now.frames_enqueued - last.frames_enqueued,
                             std::memory_order_relaxed);
@@ -116,42 +115,33 @@ void Store::AccumulateTxStats(Shard& shard, ClientConn& conn) {
 }
 
 void Store::FlushConn(Shard& shard, ClientConn& conn) {
-  int fd = conn.fd.get();
-  auto state = conn.tx.Flush(fd);
+  int fd = conn.link.fd();
+  auto state = conn.link.Flush(shard.poller);
   AccumulateTxStats(shard, conn);
   if (!state.ok()) {
     // EPIPE/ECONNRESET: the client vanished mid-reply; routine shedding.
     DropClient(shard, fd);
     return;
   }
-  if (*state == net::TxQueue::FlushState::kBlocked) {
-    if (conn.tx.pending_bytes() > options_.max_egress_queue_bytes) {
-      MDOS_LOG_WARN << "store: client '" << conn.name
-                    << "' not draining its socket ("
-                    << conn.tx.pending_bytes()
-                    << " bytes queued past the "
-                    << options_.max_egress_queue_bytes
-                    << "-byte egress cap); dropping";
-      DropClient(shard, fd);
-      return;
-    }
-    if (!conn.write_armed) {
-      shard.poller.SetWriteInterest(fd, true);
-      conn.write_armed = true;
-    }
-  } else if (conn.write_armed) {
-    shard.poller.SetWriteInterest(fd, false);
-    conn.write_armed = false;
+  if (*state == net::TxQueue::FlushState::kBlocked &&
+      conn.link.tx().pending_bytes() > options_.max_egress_queue_bytes) {
+    MDOS_LOG_WARN << "store: client '" << conn.name
+                  << "' not draining its socket ("
+                  << conn.link.tx().pending_bytes()
+                  << " bytes queued past the "
+                  << options_.max_egress_queue_bytes
+                  << "-byte egress cap); dropping";
+    DropClient(shard, fd);
   }
 }
 
 Status Store::FlushConnBlocking(Shard& shard, ClientConn& conn,
                                 int timeout_ms) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   const int64_t deadline =
       MonotonicNanos() + int64_t{timeout_ms} * 1000000;
   while (true) {
-    auto state = conn.tx.Flush(fd);
+    auto state = conn.link.tx().Flush(fd);
     AccumulateTxStats(shard, conn);
     MDOS_RETURN_IF_ERROR(state.status());
     if (*state == net::TxQueue::FlushState::kDrained) return Status::OK();
@@ -392,8 +382,7 @@ void Store::AcceptPending() {
     // shard in write(2).
     MDOS_WARN_IF_ERROR(net::SetNonBlocking(fd),
                        "marking accepted client socket non-blocking");
-    auto conn = std::make_shared<ClientConn>();
-    conn->fd = std::move(conn_fd);
+    auto conn = std::make_shared<ClientConn>(std::move(conn_fd));
 
     // Round-robin placement; the shard adopts the connection on its own
     // thread (poller registration is not thread-safe by design).
@@ -451,51 +440,13 @@ void Store::OnClientReadable(Shard& shard, int fd) {
   std::shared_ptr<ClientConn> conn_ref = it->second;
   ClientConn& conn = *conn_ref;
 
-  // Drain everything the socket has buffered without blocking the loop.
-  // FIONREAD sizes the receive scratch so bytes land directly in place:
-  // no intermediate chunk buffer, no copy, and the vector's capacity is
-  // reused across batches.
-  bool closed = false;
-  for (;;) {
-    int avail = 0;
-    if (::ioctl(fd, FIONREAD, &avail) != 0 || avail <= 0) avail = 4096;
-    const size_t base = conn.inbuf.size();
-    conn.inbuf.resize(base + static_cast<size_t>(avail));
-    ssize_t n =
-        ::recv(fd, conn.inbuf.data() + base, static_cast<size_t>(avail),
-               MSG_DONTWAIT);
-    if (n > 0) {
-      conn.inbuf.resize(base + static_cast<size_t>(n));
-      if (n < avail) break;  // drained at this instant
-      continue;
-    }
-    conn.inbuf.resize(base);
-    if (n == 0) {
-      closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    closed = true;
-    break;
-  }
-
-  // Decode every complete frame as a zero-copy view into the receive
-  // scratch; a pipelining client's queued requests become one batch. The
-  // consumed prefix is erased only after dispatch (the views alias it).
+  // Drain everything the socket has buffered without blocking the loop,
+  // then view every complete frame in place; a pipelining client's
+  // queued requests become one batch. The consumed prefix is dropped
+  // only after dispatch (the views alias the receive scratch).
+  const bool open = conn.link.Drain();
   std::vector<net::FrameView> batch;
-  size_t offset = 0;
-  Status parse = Status::OK();
-  while (offset < conn.inbuf.size()) {
-    net::FrameView view;
-    size_t consumed = 0;
-    parse = net::DecodeFrameView(conn.inbuf.data() + offset,
-                                 conn.inbuf.size() - offset, &view,
-                                 &consumed);
-    if (!parse.ok() || consumed == 0) break;
-    offset += consumed;
-    batch.push_back(view);
-  }
+  Status parse = conn.link.DecodeFrames(&batch);
 
   // Dispatch in arrival order; Gets defer their remote half to the end of
   // the batch. `conn` may be dropped mid-batch (decode error,
@@ -509,20 +460,19 @@ void Store::OnClientReadable(Shard& shard, int fd) {
   ResolveGets(shard, conn, batch_gets);
 
   if (shard.clients.find(fd) == shard.clients.end()) return;
-  conn.inbuf.erase(conn.inbuf.begin(),
-                   conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
+  conn.link.ConsumeFrames();
   if (!parse.ok()) {
     MDOS_LOG_WARN << "store: dropping client on bad frame: " << parse;
     DropClient(shard, fd);
     return;
   }
-  if (closed) DropClient(shard, fd);
+  if (!open) DropClient(shard, fd);
 }
 
 void Store::DispatchFrame(Shard& shard, ClientConn& conn,
                           const net::FrameView& frame,
                           std::vector<PendingGet>* batch_gets) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   const auto type = static_cast<MessageType>(frame.type);
   const std::span<const uint8_t> body(frame.payload, frame.size);
   wire::Reader header_reader(frame.payload, frame.size);
@@ -596,8 +546,7 @@ void Store::DropClient(Shard& shard, int fd) {
   // Best-effort final flush: replies queued earlier in this batch still
   // reach a client being dropped for a later protocol violation (and
   // their counters are folded into the shard stats before teardown).
-  // mdos-check: allow-discard(final courtesy flush to a client already being dropped; its socket may be gone, and either way the fd closes next)
-  if (!conn->tx.empty()) (void)conn->tx.Flush(fd);
+  conn->link.FlushBeforeClose();
   AccumulateTxStats(shard, *conn);
   shard.clients.erase(it);
   shard.poller.Remove(fd);
@@ -661,7 +610,7 @@ void Store::HandleConnect(Shard& home, ClientConn& conn,
                           std::span<const uint8_t> body) {
   auto request = DecodeMessage<ConnectRequest>(body.data(), body.size());
   if (!request.ok()) {
-    DropClient(home, conn.fd.get());
+    DropClient(home, conn.link.fd());
     return;
   }
   conn.name = request->client_name;
@@ -673,7 +622,7 @@ void Store::HandleConnect(Shard& home, ClientConn& conn,
   reply.pool_size = options_.capacity;
   reply.pool_slab_offset = pool_slab_offset_;
   reply.store_name = options_.name;
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   // The SCM_RIGHTS fd message below must follow the reply bytes in
   // stream order, so the handshake (once per connection, a ~100-byte
   // frame into an empty socket buffer) flushes the queue synchronously.
@@ -889,7 +838,7 @@ void Store::HandleCreate(Shard& home, ClientConn& conn,
                          uint64_t request_id,
                          std::span<const uint8_t> body,
                          Deadline op_deadline) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<CreateRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -972,7 +921,7 @@ void Store::HandleCreate(Shard& home, ClientConn& conn,
 
 void Store::HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
                        std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<SealRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1026,7 +975,7 @@ void Store::HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
 void Store::HandleSubscribe(Shard& home, ClientConn& conn,
                             uint64_t request_id,
                             std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<SubscribeRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1096,7 +1045,7 @@ void Store::DeliverNotification(Shard& shard, const Notification& notice) {
 void Store::HandleAbort(Shard& home, ClientConn& conn,
                         uint64_t request_id,
                         std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<AbortRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1162,7 +1111,7 @@ std::optional<GetReplyEntry> Store::TryLocalGet(ClientConn& conn,
 void Store::HandleGet(Shard& home, ClientConn& conn, uint64_t request_id,
                       std::span<const uint8_t> body, Deadline op_deadline,
                       std::vector<PendingGet>* batch_gets) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<GetRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1321,7 +1270,7 @@ void Store::ResolveGets(Shard& home, ClientConn& conn,
   auto resolved =
       BatchedRemoteLookup(unknown, /*count_lookups=*/true, batch_deadline);
 
-  const int fd = conn.fd.get();
+  const int fd = conn.link.fd();
   for (PendingGet& pending : gets) {
     // A failed reply for an earlier get in this batch drops the client
     // (and its conn entry); every get in the batch is from that client,
@@ -1502,7 +1451,7 @@ int Store::FlushExpiredPendingGets(Shard& shard) {
 void Store::HandleRelease(Shard& home, ClientConn& conn,
                           uint64_t request_id,
                           std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<ReleaseRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1555,7 +1504,7 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
 void Store::HandleContains(Shard& home, ClientConn& conn,
                            uint64_t request_id,
                            std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<ContainsRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);
@@ -1573,7 +1522,7 @@ void Store::HandleContains(Shard& home, ClientConn& conn,
 void Store::HandleDelete(Shard& home, ClientConn& conn,
                          uint64_t request_id,
                          std::span<const uint8_t> body) {
-  int fd = conn.fd.get();
+  int fd = conn.link.fd();
   auto request = DecodeMessage<DeleteRequest>(body.data(), body.size());
   if (!request.ok()) {
     DropClient(home, fd);

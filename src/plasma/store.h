@@ -77,6 +77,7 @@
 #include "net/fd.h"
 #include "net/frame.h"
 #include "net/memfd.h"
+#include "net/framed_conn.h"
 #include "net/poller.h"
 #include "net/tx_queue.h"
 #include "plasma/eviction.h"
@@ -381,19 +382,16 @@ class Store {
   // is held by shared_ptr so a batch in flight survives a mid-batch
   // drop.
   struct ClientConn {
-    net::UniqueFd fd;
+    explicit ClientConn(net::UniqueFd fd) : link(std::move(fd)) {}
+
+    // The socket, its receive scratch (a pipelining client may queue
+    // many frames between event-loop passes) and its non-blocking egress
+    // queue (replies leave in coalesced gather writes at the end of each
+    // pass), driven against the home shard's poller.
+    net::FramedConn link;
     std::string name;
     bool handshaken = false;
     bool subscriber = false;  // notification-only connection
-    // Bytes received but not yet framed. A pipelining client may queue
-    // many frames here between event-loop passes; capacity is reused
-    // across batches (the per-connection receive scratch).
-    std::vector<uint8_t> inbuf;
-    // Non-blocking egress: replies queue here (zero-copy) and leave in
-    // coalesced gather writes at the end of each event-loop pass.
-    net::TxQueue tx;
-    // Write interest currently armed on the home shard's poller.
-    bool write_armed = false;
     // Queued egress awaiting the end-of-pass flush (in Shard::dirty).
     bool dirty = false;
     // Tx counters already folded into the shard stats (delta tracking).
@@ -536,9 +534,9 @@ class Store {
   // DistHooks peer-RPC seams carry explicit allow-blocking waivers).
   MDOS_EVENT_LOOP_CONTEXT void ShardLoop(Shard& shard);
   MDOS_EVENT_LOOP_CONTEXT void DrainMailbox(Shard& shard);
-  // Drains the connection's socket into its receive scratch (sized once
-  // via FIONREAD — no chunk-copy, no per-frame allocation), decodes every
-  // complete frame as a zero-copy view, and processes them as one batch.
+  // Drains the connection's socket into its receive scratch, decodes
+  // every complete frame as a zero-copy view (net::FramedConn), and
+  // processes them as one batch.
   // A pipelining client thus has all of its queued requests serviced in a
   // single pass — with one combined remote lookup for every unknown id
   // across the batch (see ResolveGets) and every reply coalesced into the

@@ -1,11 +1,5 @@
 #include "rpc/server.h"
 
-#include <sys/ioctl.h>
-#include <sys/socket.h>
-
-#include <algorithm>
-#include <cerrno>
-
 #include "common/clock.h"
 #include "common/log.h"
 #include "net/frame.h"
@@ -64,10 +58,9 @@ void RpcServer::ServeLoop() {
               MDOS_WARN_IF_ERROR(net::SetNonBlocking(conn_fd->get()),
                                  "marking accepted peer socket non-blocking");
               int cfd = conn_fd->get();
-              auto conn = std::make_unique<Conn>();
-              conn->fd = std::move(conn_fd).value();
               poller_.Add(cfd);
-              connections_.emplace(cfd, std::move(conn));
+              connections_.emplace(cfd, std::make_unique<net::FramedConn>(
+                                            std::move(conn_fd).value()));
             }
             return;
           }
@@ -87,70 +80,38 @@ void RpcServer::ServeLoop() {
   }
 }
 
-void RpcServer::HandleReadable(Conn& conn) {
-  int fd = conn.fd.get();
-  // Drain the socket into the connection's receive scratch (sized via
-  // FIONREAD; capacity reused across batches).
-  bool closed = false;
-  for (;;) {
-    int avail = 0;
-    if (::ioctl(fd, FIONREAD, &avail) != 0 || avail <= 0) avail = 4096;
-    const size_t base = conn.inbuf.size();
-    conn.inbuf.resize(base + static_cast<size_t>(avail));
-    ssize_t n = ::recv(fd, conn.inbuf.data() + base,
-                       static_cast<size_t>(avail), MSG_DONTWAIT);
-    if (n > 0) {
-      conn.inbuf.resize(base + static_cast<size_t>(n));
-      if (n < avail) break;
-      continue;
-    }
-    conn.inbuf.resize(base);
-    if (n == 0) {
-      closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    closed = true;
-    break;
-  }
+void RpcServer::HandleReadable(net::FramedConn& conn) {
+  const bool open = conn.Drain();
 
   // Serve every complete request frame in the batch; responses coalesce
   // into the egress queue and leave in one gather write below. The
   // arrival timestamp is shared by the whole batch: a request at the
   // tail whose deadline budget is burned by the heads is shed.
   const int64_t arrival_ns = MonotonicNanos();
-  size_t offset = 0;
-  Status parse = Status::OK();
-  while (offset < conn.inbuf.size()) {
-    net::FrameView view;
-    size_t consumed = 0;
-    parse = net::DecodeFrameView(conn.inbuf.data() + offset,
-                                 conn.inbuf.size() - offset, &view,
-                                 &consumed);
-    if (!parse.ok() || consumed == 0) break;
-    if (view.type != kRequestFrame) {
-      parse = Status::ProtocolError("unexpected frame type");
+  std::vector<net::FrameView> batch;
+  Status status = conn.DecodeFrames(&batch);
+  for (const net::FrameView& view : batch) {
+    Status served =
+        view.type == kRequestFrame
+            ? ServeRequest(conn, view.payload, view.size, arrival_ns)
+            : Status::ProtocolError("unexpected frame type");
+    if (!served.ok()) {
+      status = served;
       break;
     }
-    offset += consumed;
-    parse = ServeRequest(conn, view.payload, view.size, arrival_ns);
-    if (!parse.ok()) break;
   }
-  conn.inbuf.erase(conn.inbuf.begin(),
-                   conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
+  conn.ConsumeFrames();
 
-  if (!parse.ok() || closed) {
+  if (!status.ok() || !open) {
     // Best effort: pipelined responses already queued still leave.
-    // mdos-check: allow-discard(final courtesy flush to a connection already condemned; CloseConnection follows on either outcome)
-    if (!conn.tx.empty()) (void)conn.tx.Flush(fd);
-    CloseConnection(fd);
+    conn.FlushBeforeClose();
+    CloseConnection(conn.fd());
     return;
   }
   FlushConn(conn);
 }
 
-Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
+Status RpcServer::ServeRequest(net::FramedConn& conn, const uint8_t* payload,
                                size_t size, int64_t arrival_ns) {
   // Envelope first: shedding must not pay for the payload copy.
   wire::Reader reader(payload, size);
@@ -177,7 +138,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
     response.error = "server shed '" + std::string(view->method) +
                      "': deadline passed before dispatch";
     wire::Writer writer;
-    writer.Adopt(conn.tx.AcquireBuffer());
+    writer.Adopt(conn.tx().AcquireBuffer());
     response.EncodeTo(writer);
     {
       MutexLock lock(stats_mutex_);
@@ -187,7 +148,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
       stats_.bytes_in += size;
       stats_.bytes_out += writer.size();
     }
-    return conn.tx.Append(kResponseFrame, writer.TakeBuffer());
+    return conn.tx().Append(kResponseFrame, writer.TakeBuffer());
   }
 
   int64_t delay = service_delay_ns_.load(std::memory_order_relaxed);
@@ -213,7 +174,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
   // Encode into a recycled buffer and queue; flushing happens once per
   // readable batch.
   wire::Writer writer;
-  writer.Adopt(conn.tx.AcquireBuffer());
+  writer.Adopt(conn.tx().AcquireBuffer());
   response.EncodeTo(writer);
   // Account the call before the response leaves: once the client has the
   // reply, the server's counters must already reflect it.
@@ -224,25 +185,11 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
     stats_.bytes_in += size;
     stats_.bytes_out += writer.size();
   }
-  return conn.tx.Append(kResponseFrame, writer.TakeBuffer());
+  return conn.tx().Append(kResponseFrame, writer.TakeBuffer());
 }
 
-void RpcServer::FlushConn(Conn& conn) {
-  int fd = conn.fd.get();
-  auto state = conn.tx.Flush(fd);
-  if (!state.ok()) {
-    CloseConnection(fd);
-    return;
-  }
-  if (*state == net::TxQueue::FlushState::kBlocked) {
-    if (!conn.write_armed) {
-      poller_.SetWriteInterest(fd, true);
-      conn.write_armed = true;
-    }
-  } else if (conn.write_armed) {
-    poller_.SetWriteInterest(fd, false);
-    conn.write_armed = false;
-  }
+void RpcServer::FlushConn(net::FramedConn& conn) {
+  if (!conn.Flush(poller_).ok()) CloseConnection(conn.fd());
 }
 
 void RpcServer::CloseConnection(int fd) {

@@ -9,12 +9,12 @@
 // with the owning store's shard threads, which is exactly the concurrency
 // the store's per-shard mutexes protect against.
 //
-// I/O is non-blocking end to end: requests drain into a per-connection
-// receive scratch (a batch of pipelined calls is served in one pass) and
-// responses leave through a per-connection egress queue (net/tx_queue.h)
-// flushed with coalesced gather writes — a peer that stops draining its
-// socket arms write interest instead of stalling every other peer's RPCs
-// behind a blocking send.
+// I/O is non-blocking end to end: each peer connection is a
+// net::FramedConn. Requests drain into its receive scratch (a batch of
+// pipelined calls is served in one pass) and responses leave through its
+// egress queue, flushed with coalesced gather writes — a peer that stops
+// draining its socket arms write interest instead of stalling every
+// other peer's RPCs behind a blocking send.
 #pragma once
 
 #include <atomic>
@@ -31,8 +31,8 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "net/fd.h"
+#include "net/framed_conn.h"
 #include "net/poller.h"
-#include "net/tx_queue.h"
 #include "rpc/message.h"
 
 namespace mdos::rpc {
@@ -84,34 +84,25 @@ class RpcServer {
   }
 
  private:
-  // One peer connection: receive scratch + egress queue (service thread
-  // only).
-  struct Conn {
-    net::UniqueFd fd;
-    std::vector<uint8_t> inbuf;
-    net::TxQueue tx;
-    bool write_armed = false;
-  };
-
   // The serve thread is an event loop: mdos-check forbids blocking
   // calls downstream of these (the handlers it dispatches into run on
   // this thread too).
   MDOS_EVENT_LOOP_CONTEXT void ServeLoop();
-  MDOS_EVENT_LOOP_CONTEXT void HandleReadable(Conn& conn);
+  MDOS_EVENT_LOOP_CONTEXT void HandleReadable(net::FramedConn& conn);
   // Runs one decoded request frame and queues its response. A failure
   // means the connection is corrupt and must be dropped (by the caller —
-  // never drops it itself, the batch loop still holds the Conn).
+  // never drops it itself, the batch loop still holds the connection).
   // `arrival_ns` is when the batch containing this frame was read off
   // the socket: requests whose stamped deadline budget elapsed while
   // earlier requests in the batch were being served are shed before
   // their payload is materialized.
-  MDOS_EVENT_LOOP_CONTEXT Status ServeRequest(Conn& conn,
+  MDOS_EVENT_LOOP_CONTEXT Status ServeRequest(net::FramedConn& conn,
                                               const uint8_t* payload,
                                               size_t size,
                                               int64_t arrival_ns);
   // Flushes the connection's egress queue, arming/disarming write
   // interest; drops the connection on error.
-  MDOS_EVENT_LOOP_CONTEXT void FlushConn(Conn& conn);
+  MDOS_EVENT_LOOP_CONTEXT void FlushConn(net::FramedConn& conn);
   void CloseConnection(int fd);
 
   // Transparent comparator: dispatch looks up by the string_view from
@@ -124,7 +115,7 @@ class RpcServer {
   std::atomic<bool> running_{false};
   std::atomic<int64_t> service_delay_ns_{0};
   net::Poller poller_;
-  std::unordered_map<int, std::unique_ptr<Conn>> connections_;
+  std::unordered_map<int, std::unique_ptr<net::FramedConn>> connections_;
   mutable Mutex stats_mutex_;
   ServerStats stats_ GUARDED_BY(stats_mutex_);
 };

@@ -615,5 +615,64 @@ TEST(ClusterFailoverTest, KillWithReplicationLosesNoSealedObjects) {
   }, /*timeout_ms=*/10000));
 }
 
+// A false death: a partition long enough for the heartbeat to declare the
+// peer dead, then a healed link. The recovered peer must be read through
+// its generation table (and its shared index, when exported) again, so
+// repeat Gets of one id are cache hits that cost no lookup RPC and no
+// generation retry.
+void RepeatGetsAfterFalseDeath(bool shared_index) {
+  cluster::NodeOptions options = FailoverNode();
+  options.enable_shared_index = shared_index;
+  auto cluster = cluster::Cluster::CreateTwoNode(options, FastFabric());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  cluster::Node* node0 = (*cluster)->node(0);
+  const uint32_t id1 = (*cluster)->node(1)->id();
+  dist::RemoteStoreRegistry& registry = node0->registry();
+
+  auto producer = (*cluster)->node(1)->CreateClient("producer");
+  auto consumer = node0->CreateClient("consumer");
+  ASSERT_TRUE(producer.ok() && consumer.ok());
+  ObjectId id = ObjectId::FromName("survives-false-death");
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "still-here").ok());
+
+  ASSERT_TRUE((*cluster)->PartitionLink(0, 1).ok());
+  ASSERT_TRUE(WaitUntil(
+      [&] { return registry.peer_state(id1) == dist::PeerState::kDead; }));
+  ASSERT_TRUE((*cluster)->HealLink(0, 1).ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return registry.peer_state(id1) == dist::PeerState::kHealthy;
+  }));
+
+  auto get_once = [&] {
+    auto buffer = (*consumer)->Get(id, 2000);
+    ASSERT_TRUE(buffer.ok()) << buffer.status();
+    auto data = buffer->CopyData();
+    ASSERT_TRUE(data.ok());
+    EXPECT_EQ(std::string(data->begin(), data->end()), "still-here");
+    ASSERT_TRUE((*consumer)->Release(id).ok());
+  };
+  const dist::RegistryStats before = registry.stats();
+  get_once();
+  const dist::RegistryStats first = registry.stats();
+  if (shared_index) {
+    EXPECT_GT(first.index_hits, before.index_hits);
+  }
+  const uint64_t hits_first = registry.lookup_cache()->stats().hits;
+
+  for (int i = 0; i < 4; ++i) get_once();
+  const dist::RegistryStats after = registry.stats();
+  EXPECT_GE(registry.lookup_cache()->stats().hits, hits_first + 4);
+  EXPECT_EQ(after.lookup_rpcs, first.lookup_rpcs);
+  EXPECT_EQ(after.generation_retries, first.generation_retries);
+}
+
+TEST(ClusterFailoverTest, RecoveredPeerServesCachedLocations) {
+  RepeatGetsAfterFalseDeath(/*shared_index=*/false);
+}
+
+TEST(ClusterFailoverTest, RecoveredPeerServesSharedIndexAndCache) {
+  RepeatGetsAfterFalseDeath(/*shared_index=*/true);
+}
+
 }  // namespace
 }  // namespace mdos

@@ -1,5 +1,5 @@
 // Tests for the net layer: sockets, framing, memfd sharing, fd passing,
-// and the poller.
+// the poller, and framed connections.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -12,8 +12,10 @@
 #include <cstring>
 #include <thread>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "net/fd.h"
+#include "net/framed_conn.h"
 #include "net/frame.h"
 #include "net/memfd.h"
 #include "net/poller.h"
@@ -253,25 +255,12 @@ TEST(MemfdTest, FdPassingAcrossSocket) {
   EXPECT_EQ(view->data()[0], 77);
 }
 
-// Both Poller backends (epoll and the poll(2) fallback) must satisfy the
-// same contract; every PollerTest runs against each.
-class PollerTest : public ::testing::TestWithParam<Poller::Backend> {
+class PollerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == Poller::Backend::kPoll) {
-      ::setenv("MDOS_FORCE_POLL", "1", 1);
-    } else {
-      ::unsetenv("MDOS_FORCE_POLL");
-    }
-    poller_ = std::make_unique<Poller>();
-    ASSERT_EQ(poller_->backend(), GetParam());
-  }
-  void TearDown() override { ::unsetenv("MDOS_FORCE_POLL"); }
-
-  std::unique_ptr<Poller> poller_;
+  std::unique_ptr<Poller> poller_ = std::make_unique<Poller>();
 };
 
-TEST_P(PollerTest, ReportsReadableFd) {
+TEST_F(PollerTest, ReportsReadableFd) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -292,7 +281,7 @@ TEST_P(PollerTest, ReportsReadableFd) {
   EXPECT_FALSE(seen_events & kPollerWritable);
 }
 
-TEST_P(PollerTest, TimesOutWithNoEvents) {
+TEST_F(PollerTest, TimesOutWithNoEvents) {
   auto n = poller_->Wait(10, [](int, uint32_t) {
     FAIL() << "no fd should be ready";
   });
@@ -300,7 +289,7 @@ TEST_P(PollerTest, TimesOutWithNoEvents) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WakeupInterruptsWait) {
+TEST_F(PollerTest, WakeupInterruptsWait) {
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
     auto n = poller_->Wait(5000, [](int, uint32_t) {});
@@ -313,7 +302,7 @@ TEST_P(PollerTest, WakeupInterruptsWait) {
   EXPECT_TRUE(woke.load());
 }
 
-TEST_P(PollerTest, RemoveStopsReporting) {
+TEST_F(PollerTest, RemoveStopsReporting) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -325,7 +314,7 @@ TEST_P(PollerTest, RemoveStopsReporting) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
+TEST_F(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -336,8 +325,8 @@ TEST_P(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0);
 
-  // Armed: the (writable) socket reports immediately — including under
-  // epoll's edge triggering, because arming re-scans readiness.
+  // Armed: the (writable) socket reports immediately — edge triggering
+  // notwithstanding, because arming re-scans readiness.
   poller_->SetWriteInterest(b.get(), true);
   uint32_t seen_events = 0;
   n = poller_->Wait(1000,
@@ -353,7 +342,7 @@ TEST_P(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WriteInterestFiresAfterDrain) {
+TEST_F(PollerTest, WriteInterestFiresAfterDrain) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -382,15 +371,6 @@ TEST_P(PollerTest, WriteInterestFiresAfterDrain) {
   EXPECT_EQ(*n, 1);
   EXPECT_TRUE(seen_events & kPollerWritable);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerTest,
-                         ::testing::Values(Poller::Backend::kEpoll,
-                                           Poller::Backend::kPoll),
-                         [](const auto& info) {
-                           return info.param == Poller::Backend::kEpoll
-                                      ? "epoll"
-                                      : "poll";
-                         });
 
 // ---- TxQueue ---------------------------------------------------------------
 
@@ -521,6 +501,145 @@ TEST(FrameViewTest, DecodesWithoutCopy) {
   FrameView partial;
   ASSERT_TRUE(DecodeFrameView(buf, 10, &partial, &consumed).ok());
   EXPECT_EQ(consumed, 0u);
+}
+
+// ---- FramedConn ------------------------------------------------------------
+
+// The wire bytes of one frame, for tests that write them piecemeal.
+std::vector<uint8_t> EncodeFrame(uint32_t type,
+                                 const std::vector<uint8_t>& payload) {
+  FrameHeader header;
+  header.type = type;
+  header.length = static_cast<uint32_t>(payload.size());
+  header.crc = Crc32(payload.data(), payload.size());
+  std::vector<uint8_t> bytes(sizeof(header));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+TEST(FramedConnTest, ReassemblesAFrameSplitAcrossDrains) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  UniqueFd peer(sv[0]);
+  ASSERT_TRUE(SetNonBlocking(sv[1]).ok());
+  FramedConn conn{UniqueFd(sv[1])};
+  const std::vector<uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<uint8_t> bytes = EncodeFrame(5, payload);
+
+  // Header and a payload prefix only: nothing to decode yet, and the
+  // partial frame survives ConsumeFrames.
+  ASSERT_TRUE(WriteAll(peer.get(), bytes.data(), 20).ok());
+  EXPECT_TRUE(conn.Drain());
+  std::vector<FrameView> frames;
+  ASSERT_TRUE(conn.DecodeFrames(&frames).ok());
+  EXPECT_TRUE(frames.empty());
+  conn.ConsumeFrames();
+
+  ASSERT_TRUE(
+      WriteAll(peer.get(), bytes.data() + 20, bytes.size() - 20).ok());
+  EXPECT_TRUE(conn.Drain());
+  ASSERT_TRUE(conn.DecodeFrames(&frames).ok());
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, 5u);
+  EXPECT_EQ(std::vector<uint8_t>(frames[0].payload,
+                                 frames[0].payload + frames[0].size),
+            payload);
+
+  // Consumed: the same bytes never decode twice.
+  conn.ConsumeFrames();
+  frames.clear();
+  ASSERT_TRUE(conn.DecodeFrames(&frames).ok());
+  EXPECT_TRUE(frames.empty());
+}
+
+TEST(FramedConnTest, FramesBeforeEofAreReturnedThenClosed) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  UniqueFd peer(sv[0]);
+  ASSERT_TRUE(SetNonBlocking(sv[1]).ok());
+  FramedConn conn{UniqueFd(sv[1])};
+  ASSERT_TRUE(SendFrame(peer.get(), 1, std::vector<uint8_t>{10}).ok());
+  ASSERT_TRUE(SendFrame(peer.get(), 2, std::vector<uint8_t>{20, 21}).ok());
+  peer.Reset();  // EOF right behind the two frames
+
+  EXPECT_FALSE(conn.Drain()) << "EOF must report the connection closed";
+  std::vector<FrameView> frames;
+  ASSERT_TRUE(conn.DecodeFrames(&frames).ok());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, 1u);
+  EXPECT_EQ(frames[1].type, 2u);
+  EXPECT_EQ(frames[1].size, 2u);
+}
+
+TEST(FramedConnTest, CorruptFrameEndsTheBatchAfterEarlierFrames) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  UniqueFd peer(sv[0]);
+  ASSERT_TRUE(SetNonBlocking(sv[1]).ok());
+  FramedConn conn{UniqueFd(sv[1])};
+  ASSERT_TRUE(SendFrame(peer.get(), 1, std::vector<uint8_t>{10}).ok());
+  std::vector<uint8_t> junk(32, 0xEE);
+  ASSERT_TRUE(WriteAll(peer.get(), junk.data(), junk.size()).ok());
+
+  EXPECT_TRUE(conn.Drain());
+  std::vector<FrameView> frames;
+  EXPECT_FALSE(conn.DecodeFrames(&frames).ok());
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, 1u);
+}
+
+TEST(FramedConnTest, WriteInterestFollowsTheSendBuffer) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  UniqueFd peer(sv[1]);
+  ASSERT_TRUE(SetNonBlocking(sv[0]).ok());
+  int small = 8 * 1024;
+  ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  FramedConn conn{UniqueFd(sv[0])};
+  Poller poller;
+  poller.Add(conn.fd());
+
+  // More than the send buffer holds: the flush blocks and arms.
+  ASSERT_TRUE(
+      conn.tx().Append(7, std::vector<uint8_t>(512 * 1024, 0x5A)).ok());
+  auto state = conn.Flush(poller);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, TxQueue::FlushState::kBlocked);
+  EXPECT_TRUE(conn.write_armed());
+
+  // The peer drains; every writability edge resumes the flush until the
+  // queue empties and interest is disarmed.
+  std::vector<uint8_t> sink(1 << 16);
+  size_t received = 0;
+  int writable_events = 0;
+  while (*state == TxQueue::FlushState::kBlocked) {
+    ssize_t n;
+    while ((n = ::recv(peer.get(), sink.data(), sink.size(),
+                       MSG_DONTWAIT)) > 0) {
+      received += static_cast<size_t>(n);
+    }
+    auto ready = poller.Wait(1000, [&](int fd, uint32_t events) {
+      EXPECT_EQ(fd, conn.fd());
+      if (events & kPollerWritable) ++writable_events;
+    });
+    ASSERT_TRUE(ready.ok());
+    ASSERT_EQ(*ready, 1) << "an armed, drained socket must report";
+    state = conn.Flush(poller);
+    ASSERT_TRUE(state.ok());
+  }
+  EXPECT_GE(writable_events, 1);
+  EXPECT_FALSE(conn.write_armed());
+  while (received < 512 * 1024 + sizeof(FrameHeader)) {
+    ssize_t n = ::recv(peer.get(), sink.data(), sink.size(), 0);
+    ASSERT_GT(n, 0);
+    received += static_cast<size_t>(n);
+  }
+
+  // Disarmed: an idle writable socket stays silent.
+  auto ready = poller.Wait(10, [](int, uint32_t) { FAIL(); });
+  ASSERT_TRUE(ready.ok());
+  EXPECT_EQ(*ready, 0);
 }
 
 }  // namespace
