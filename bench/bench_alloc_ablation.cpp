@@ -1,5 +1,5 @@
 // Ablation A — the paper's first-fit ordered-map allocator vs a
-// dlmalloc-style segregated-fit baseline (DESIGN.md ablation A).
+// dlmalloc-style segregated-fit baseline (docs/benchmarks.md ablation A).
 //
 // The paper replaced Plasma's dlmalloc with "a simple allocation
 // algorithm" and acknowledges it "surrenders some benefits to the

@@ -1,4 +1,4 @@
-// Coherency-model bench (paper Fig. 3; DESIGN.md "coherency demo").
+// Coherency-model bench (paper Fig. 3; docs/benchmarks.md).
 //
 // Quantifies the functional cache model that reproduces ThymesisFlow's
 // coherency asymmetry: cost of home reads through the modelled cache,

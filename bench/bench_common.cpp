@@ -66,8 +66,8 @@ Summary Summarize(std::vector<double> samples) {
 
 std::unique_ptr<BenchCluster> BenchCluster::Create(
     size_t nodes, uint64_t pool_bytes, bool enable_lookup_cache,
-    bool pin_remote_objects, bool enable_shared_index,
-    bool mapped_remote_reads, bool check_global_uniqueness) {
+    bool enable_shared_index, bool mapped_remote_reads,
+    bool check_global_uniqueness) {
   SetLogLevel(LogLevel::kError);
   double scale = CalibrationScale();
   tf::FabricConfig fabric;
@@ -79,7 +79,6 @@ std::unique_ptr<BenchCluster> BenchCluster::Create(
   for (size_t i = 0; i < nodes; ++i) {
     cluster::NodeOptions options;
     options.pool_size = pool_bytes;
-    options.pin_remote_objects = pin_remote_objects;
     options.enable_shared_index = enable_shared_index;
     options.mapped_remote_reads = mapped_remote_reads;
     options.check_global_uniqueness = check_global_uniqueness;
@@ -170,11 +169,9 @@ double CommitObjects(plasma::PlasmaClient& client,
 double RetrieveBuffers(plasma::PlasmaClient& client,
                        const std::vector<ObjectId>& ids,
                        std::vector<plasma::ObjectBuffer>* out,
-                       uint64_t timeout_ms, bool pinned) {
+                       uint64_t timeout_ms) {
   Stopwatch sw;
-  auto buffers = pinned
-                     ? client.async().GetAsync(ids, timeout_ms, true).Take()
-                     : client.Get(ids, timeout_ms);
+  auto buffers = client.Get(ids, timeout_ms);
   double elapsed = sw.ElapsedSeconds();
   if (!buffers.ok()) {
     std::fprintf(stderr, "get failed: %s\n",

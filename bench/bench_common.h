@@ -62,19 +62,16 @@ Summary Summarize(std::vector<double> samples);
 class BenchCluster {
  public:
   // `nodes` >= 2. `pool_bytes` is per node and must hold the largest
-  // spec (1 GB for Table I bench 6) plus slack. `pin_remote_objects`
-  // defaults to false — the paper's prototype did NOT share object usage
-  // across stores (§IV-A2); the usage-tracking extension is measured
-  // separately in bench_lookup_cache_ablation. `enable_shared_index` and
-  // `mapped_remote_reads` switch on the two §V-B-and-beyond extensions
-  // (fabric-read lookups, generation-validated descriptor Gets);
+  // spec (1 GB for Table I bench 6) plus slack. `enable_shared_index`
+  // switches on the §V-B fabric-read lookups. `mapped_remote_reads`
+  // (the store default) serves remote Gets as generation-validated
+  // descriptors; false is the paper's lookup-then-load baseline.
   // `check_global_uniqueness` can be dropped to keep Create off the RPC
   // path in benches that only measure retrieval.
   static std::unique_ptr<BenchCluster> Create(
       size_t nodes = 2, uint64_t pool_bytes = 1500ull * 1000 * 1000,
-      bool enable_lookup_cache = false, bool pin_remote_objects = false,
-      bool enable_shared_index = false, bool mapped_remote_reads = false,
-      bool check_global_uniqueness = true);
+      bool enable_lookup_cache = false, bool enable_shared_index = false,
+      bool mapped_remote_reads = true, bool check_global_uniqueness = true);
 
   cluster::Cluster& cluster() { return *cluster_; }
   plasma::PlasmaClient& producer() { return *producer_; }
@@ -104,12 +101,10 @@ double CommitObjects(plasma::PlasmaClient& client,
 // Phase 2 (paper Fig. 6: "total object buffer retrieval latency ... from
 // the time of the request to the reception of the last buffer"): one
 // batched Get. Returns elapsed seconds; buffers are returned via *out.
-// `pinned` forces the RPC+pin rung even on mapped-plane clusters — the
-// baseline the mapped-vs-RPC benches compare against.
 double RetrieveBuffers(plasma::PlasmaClient& client,
                        const std::vector<ObjectId>& ids,
                        std::vector<plasma::ObjectBuffer>* out,
-                       uint64_t timeout_ms = 30000, bool pinned = false);
+                       uint64_t timeout_ms = 30000);
 
 // Phase 3 (paper Fig. 7: "consecutively reading the data from the
 // requested buffers"): sequential drain of every buffer. Returns elapsed

@@ -11,9 +11,10 @@
 //
 // A second section measures the mapped data plane (shared index +
 // generation-validated descriptors): the same remote Get with zero RPCs
-// against the RPC+pin rung on the same cluster. Emits RESULT lines for
-// tools/run_benches.py.
+// against the first section's lookup-then-load remote Get. Emits RESULT
+// lines for tools/run_benches.py.
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -37,8 +38,14 @@ PaperRef PaperFig6(int bench_index) {
   return {0, 0};
 }
 
-int RunPaperShape() {
-  auto bench = BenchCluster::Create();
+// The paper's lookup-then-load path: no shared index, no lookup cache,
+// and remote locations handed out unvalidated (mapped reads off). Fills
+// `remote_p50_ms` with one remote retrieval p50 per Table I spec.
+int RunPaperShape(std::vector<double>* remote_p50_ms) {
+  auto bench = BenchCluster::Create(
+      /*nodes=*/2, /*pool_bytes=*/1500ull * 1000 * 1000,
+      /*enable_lookup_cache=*/false, /*enable_shared_index=*/false,
+      /*mapped_remote_reads=*/false);
   if (bench == nullptr) return 1;
 
   std::printf(
@@ -67,6 +74,7 @@ int RunPaperShape() {
     }
     Summary local = Summarize(local_ms);
     Summary remote = Summarize(remote_ms);
+    remote_p50_ms->push_back(remote.p50);
     PaperRef paper = PaperFig6(spec.index);
     std::printf(
         "%-6d %-8d | %-8.3f %-8.3f %-8.3f | %-8.3f %-8.3f %-8.3f | "
@@ -94,39 +102,34 @@ int RunPaperShape() {
 }
 
 // Mapped data plane section: shared index + mapped_remote_reads on, so a
-// plain remote Get resolves by fabric reads alone (index probe + sampled
-// generation stamp — zero RPCs), while `pinned` Gets take the classic
-// rung (index probe + one pin RPC per object, each paying the simulated
-// LAN RTT). Local retrieval on the same cluster anchors the comparison.
-int RunMappedPlane() {
+// remote Get resolves by fabric reads alone (index probe + sampled
+// generation stamp — zero RPCs). It is set against the paper-shape
+// section's lookup-then-load remote Get (one Plasma.Lookup RPC per
+// batch, paying the simulated LAN RTT), and local retrieval on the same
+// cluster anchors the comparison.
+int RunMappedPlane(const std::vector<double>& lookup_p50_ms) {
   std::printf(
-      "\n--- mapped data plane: remote Get, zero-RPC vs RPC+pin rung ---\n");
+      "\n--- mapped data plane: remote Get, zero-RPC vs lookup-then-load "
+      "---\n");
   auto bench = BenchCluster::Create(
       /*nodes=*/2, /*pool_bytes=*/1500ull * 1000 * 1000,
-      /*enable_lookup_cache=*/false, /*pin_remote_objects=*/true,
-      /*enable_shared_index=*/true, /*mapped_remote_reads=*/true,
-      /*check_global_uniqueness=*/false);
+      /*enable_lookup_cache=*/false, /*enable_shared_index=*/true,
+      /*mapped_remote_reads=*/true, /*check_global_uniqueness=*/false);
   if (bench == nullptr) return 1;
 
   std::printf("%-6s %-8s | %-10s %-10s %-10s | %-9s %-9s\n", "bench",
-              "objects", "local p50", "rpc p50", "mapped p50", "map/loc",
-              "rpc/map");
+              "objects", "local p50", "lookup p50", "mapped p50", "map/loc",
+              "lkp/map");
 
-  // The pinned rung pays one RTT per object, so cap the costly specs the
-  // same way bench_scaleout does.
   const int reps = std::max(3, Repetitions() / 2);
+  size_t spec_index = 0;
   for (const BenchSpec& spec : Table1Specs()) {
-    std::vector<double> local_ms, rpc_ms, mapped_ms;
+    std::vector<double> local_ms, mapped_ms;
     for (int rep = 0; rep < reps; ++rep) {
       auto ids = SpecIds(spec, rep);
       (void)CommitObjects(bench->producer(), ids, spec.object_bytes());
 
       std::vector<plasma::ObjectBuffer> buffers;
-      rpc_ms.push_back(RetrieveBuffers(bench->remote_consumer(), ids,
-                                       &buffers, /*timeout_ms=*/30000,
-                                       /*pinned=*/true) *
-                       1e3);
-      ReleaseAll(bench->remote_consumer(), ids);
       mapped_ms.push_back(
           RetrieveBuffers(bench->remote_consumer(), ids, &buffers) * 1e3);
       local_ms.push_back(
@@ -137,27 +140,30 @@ int RunMappedPlane() {
       DeleteAll(bench->producer(), ids);
     }
     Summary local = Summarize(local_ms);
-    Summary rpc = Summarize(rpc_ms);
     Summary mapped = Summarize(mapped_ms);
+    double lookup = spec_index < lookup_p50_ms.size()
+                        ? lookup_p50_ms[spec_index]
+                        : 0;
+    ++spec_index;
     double map_vs_local = local.p50 > 0 ? mapped.p50 / local.p50 : 0;
-    double rpc_vs_map = mapped.p50 > 0 ? rpc.p50 / mapped.p50 : 0;
+    double lookup_vs_map = mapped.p50 > 0 ? lookup / mapped.p50 : 0;
     std::printf("%-6d %-8d | %-10.3f %-10.3f %-10.3f | %-9.2f %-9.1f\n",
-                spec.index, spec.num_objects, local.p50, rpc.p50,
-                mapped.p50, map_vs_local, rpc_vs_map);
+                spec.index, spec.num_objects, local.p50, lookup,
+                mapped.p50, map_vs_local, lookup_vs_map);
     std::printf(
         "RESULT bench=fig6_mapped spec=%d objects=%d size_kb=%llu "
-        "local_p50_ms=%.3f rpc_p50_ms=%.3f mapped_p50_ms=%.3f "
-        "mapped_vs_local=%.2f rpc_vs_mapped=%.1f\n",
+        "local_p50_ms=%.3f lookup_p50_ms=%.3f mapped_p50_ms=%.3f "
+        "mapped_vs_local=%.2f lookup_vs_mapped=%.1f\n",
         spec.index, spec.num_objects,
-        static_cast<unsigned long long>(spec.size_kb), local.p50, rpc.p50,
-        mapped.p50, map_vs_local, rpc_vs_map);
+        static_cast<unsigned long long>(spec.size_kb), local.p50, lookup,
+        mapped.p50, map_vs_local, lookup_vs_map);
     std::fflush(stdout);
   }
 
   std::printf(
       "\nshape targets: mapped remote Get tracks local retrieval (within "
-      "~2x);\nthe RPC+pin rung scales with object count x RTT and sits far "
-      "above both.\n");
+      "~2x);\nthe lookup-then-load path pays the lookup RTT and sits above "
+      "both.\n");
   return 0;
 }
 
@@ -166,8 +172,9 @@ int Run() {
       "Fig. 6 — object buffer retrieval latency (local vs remote)");
   // Sections run sequentially and each tears its cluster down before the
   // next starts, keeping peak pool memory to one cluster's worth.
-  if (int rc = RunPaperShape(); rc != 0) return rc;
-  return RunMappedPlane();
+  std::vector<double> lookup_p50_ms;
+  if (int rc = RunPaperShape(&lookup_p50_ms); rc != 0) return rc;
+  return RunMappedPlane(lookup_p50_ms);
 }
 
 }  // namespace

@@ -8,13 +8,13 @@
 // answers. After the first hit the ranking demotes the gray peer and
 // every path is fast again, so the episode latency below is measured
 // on a FRESH cluster each time: each sample is one cold-ranking Get
-// through the full store/lookup/pin path while one replica link
-// carries injected latency.
+// through the full store/lookup path while one replica link carries
+// injected latency.
 //
 // Phases (per-episode latency, p50/p99 across episodes):
 //   healthy   — no fault, hedging on (the baseline path)
 //   unhedged  — one slow replica link, hedging off: the Get eats the
-//               injected latency on lookup AND pin
+//               injected latency on the lookup
 //   hedged    — same fault, hedging on: the hedge delay bounds the hit
 //
 // Acceptance bar (recorded in BENCH_pr9.json): hedged p99 stays within
@@ -204,7 +204,7 @@ int Run() {
 
   std::printf(
       "\nshape target: unhedged first contact pays the slow link on "
-      "lookup and pin\n(~2x link latency); hedging caps it near the "
+      "the lookup\n(~1x link latency); hedging caps it near the "
       "hedge delay; healthy path is\nunaffected by having hedging "
       "armed.\n");
   return bar_met ? 0 : 1;

@@ -1,14 +1,12 @@
-// Ablation B — remote-lookup caching and distributed usage tracking
-// (the two §V-B future-work extensions; DESIGN.md ablation B).
+// Ablation B — remote-lookup caching (the §V-B future-work extension;
+// docs/benchmarks.md).
 //
 // The paper proposes "a caching mechanism for previously requested remote
 // objects ... would increase the performance of repeated requests for
 // identifiers". This bench measures repeated remote retrieval latency in
-// three configurations:
+// two configurations:
 //   baseline      — paper prototype: every Get pays the lookup RPC
 //   +cache        — lookup cache on: repeat Gets skip the RPC
-//   +cache +pins  — additionally pin remote objects at their home store
-//                   (usage tracking), paying pin/unpin RPCs per Get
 #include <cstdio>
 
 #include "bench_common.h"
@@ -19,7 +17,6 @@ namespace {
 struct Config {
   const char* name;
   bool cache;
-  bool pins;
 };
 
 double MedianRepeatGetMs(BenchCluster& bench, int objects, int repeats) {
@@ -44,12 +41,11 @@ double MedianRepeatGetMs(BenchCluster& bench, int objects, int repeats) {
 
 int Run() {
   PrintHarnessHeader(
-      "Ablation B — remote lookup cache & usage tracking (paper §V-B)");
+      "Ablation B — remote lookup cache (paper §V-B)");
 
   const Config configs[] = {
-      {"baseline (paper)", false, false},
-      {"+lookup cache", true, false},
-      {"+cache +remote pins", true, true},
+      {"baseline (paper)", false},
+      {"+lookup cache", true},
   };
 
   std::printf("%-22s %-14s %-14s %-14s\n", "config", "get10_ms",
@@ -58,8 +54,7 @@ int Run() {
   for (const Config& config : configs) {
     auto bench = BenchCluster::Create(
         /*nodes=*/2, /*pool_bytes=*/256ull << 20,
-        /*enable_lookup_cache=*/config.cache,
-        /*pin_remote_objects=*/config.pins);
+        /*enable_lookup_cache=*/config.cache);
     if (bench == nullptr) return 1;
 
     double get10 = MedianRepeatGetMs(*bench, 10, repeats);
@@ -76,9 +71,7 @@ int Run() {
 
   std::printf(
       "\nshape target: the cache removes the RPC from repeat gets "
-      "(sub-ms), the paper's\nbaseline pays it every time; pins add "
-      "per-object RPC cost back (the price of\ndistributed usage "
-      "safety).\n");
+      "(sub-ms), the paper's\nbaseline pays it every time.\n");
   return 0;
 }
 

@@ -1,4 +1,4 @@
-// Ablation D — rack-scale (N-node) operation (paper §V-B; DESIGN.md
+// Ablation D — rack-scale (N-node) operation (paper §V-B; docs/benchmarks.md
 // ablation D).
 //
 // The paper's prototype accommodates 2 nodes and notes that rack-scale

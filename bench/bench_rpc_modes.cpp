@@ -1,4 +1,4 @@
-// Ablation C — decomposition of the unary sync RPC cost (DESIGN.md
+// Ablation C — decomposition of the unary sync RPC cost (docs/benchmarks.md
 // ablation C).
 //
 // The paper chose gRPC in synchronous unary mode "due to its favorable

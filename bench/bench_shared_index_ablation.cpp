@@ -36,7 +36,6 @@ void Measure(const Config& config, int objects, double* cold_ms,
   for (int i = 0; i < 2; ++i) {
     cluster::NodeOptions options;
     options.pool_size = 256ull << 20;
-    options.pin_remote_objects = false;
     options.enable_shared_index = config.shared_index;
     options.registry.enable_lookup_cache = config.cache;
     options.registry.simulated_rtt_ns = SimulatedRttNs();

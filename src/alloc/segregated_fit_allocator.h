@@ -6,7 +6,8 @@
 // block from the smallest non-empty eligible bin, splits the remainder,
 // and frees coalesce with both neighbours (boundary-tag equivalent kept in
 // external metadata). This is the comparison point for the paper's
-// simple first-fit allocator (bench_alloc_ablation, DESIGN.md ablation A).
+// simple first-fit allocator (bench_alloc_ablation; docs/benchmarks.md,
+// ablation A).
 #pragma once
 
 #include <array>

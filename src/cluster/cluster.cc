@@ -38,11 +38,6 @@ void Cluster::Stop() {
     return;
   }
   started_ = false;
-  // Two passes: all pins released while every RPC server is still up,
-  // then the actual teardown.
-  for (auto& node : nodes_) {
-    node->registry().ReleaseAllPins();
-  }
   for (auto& node : nodes_) {
     node->Stop();
   }

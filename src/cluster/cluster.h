@@ -9,9 +9,8 @@
 // Lifecycle: AddNode every node first, then StartAll — starting exports
 // each node's pool region, boots its store + RPC server, and performs
 // the Hello mesh handshake (peers learn each other's pool and
-// shared-index regions). Stop (also run by the destructor) releases
-// remote pins before tearing nodes down so no store is left refusing
-// eviction for a peer that no longer exists; it is idempotent.
+// shared-index regions). Stop (also run by the destructor) tears every
+// node down; it is idempotent.
 //
 // Threading: AddNode/StartAll/Stop are control-plane calls and must be
 // serialized by the owner (typically a test or benchmark main thread).
@@ -49,12 +48,12 @@ class Cluster {
   // Starts every node, then interconnects all stores in a full mesh.
   Status StartAll();
 
-  // Stops every node (releasing remote pins first).
+  // Stops every node.
   void Stop();
 
-  // Failure injection: crashes node `index` abruptly (no pin release, no
-  // notice — survivors discover the death through their health
-  // machines). The Node object stays valid for RestartNode.
+  // Failure injection: crashes node `index` abruptly (no notice —
+  // survivors discover the death through their health machines). The
+  // Node object stays valid for RestartNode.
   Status KillNode(size_t index);
   // Rebuilds and restarts a killed node on the same fabric identity and
   // RPC port, then re-meshes it with every running node. Survivors'

@@ -75,7 +75,6 @@ Status Node::BuildStack() {
   store_options.allocator = options_.allocator;
   store_options.spill_dir = options_.spill_dir;
   store_options.check_global_uniqueness = options_.check_global_uniqueness;
-  store_options.pin_remote_objects = options_.pin_remote_objects;
   store_options.mapped_remote_reads = options_.mapped_remote_reads;
   store_options.replication_factor = options_.replication_factor;
   MDOS_ASSIGN_OR_RETURN(
@@ -92,14 +91,11 @@ Status Node::BuildStack() {
   registry_ = std::make_unique<dist::RemoteStoreRegistry>(
       node_id_, registry_options);
   store_->SetDistHooks(registry_.get());
-  // A peer declared dead must stop blocking eviction with its pins, and
-  // its death triggers a re-heal round: every object whose copy count
-  // dropped below k is re-replicated from a surviving holder.
+  // A peer's death triggers a re-heal round: every object whose copy
+  // count dropped below k is re-replicated from a surviving holder.
   plasma::Store* store = store_.get();
-  registry_->SetPeerDeathHandler([store](uint32_t dead_node) {
-    (void)store->ReleasePinsForPeer(dead_node);
-    store->RequestReheal(dead_node);
-  });
+  registry_->SetPeerDeathHandler(
+      [store](uint32_t dead_node) { store->RequestReheal(dead_node); });
 
   service_ = std::make_unique<dist::StoreService>(store_.get());
   rpc_server_ = std::make_unique<rpc::RpcServer>();
@@ -132,8 +128,6 @@ void Node::Stop() {
     started_ = false;
   }
   registry_->StopHealthMonitor();
-  // Release pins first, while peer RPC servers are still reachable.
-  registry_->ReleaseAllPins();
   store_->Stop();
   rpc_server_->Stop();
 }
@@ -144,7 +138,7 @@ void Node::Kill() {
     if (!started_) return;
     started_ = false;
   }
-  // Crash semantics: no pin release, no goodbye to peers. Survivors'
+  // Crash semantics: no goodbye to peers. Survivors'
   // heartbeats and failure streaks must discover this on their own.
   registry_->StopHealthMonitor();
   store_->Stop();

@@ -8,12 +8,11 @@
 //   * the generation table, exported next to the pool, that peers read
 //     to validate cached and mapped locations into this node's pool,
 //   * the peer registry (DistHooks) with its generation-validated lookup
-//     cache and the usage tracker for distributed pin bookkeeping, plus
-//     the peer health monitor (heartbeat + failure streaks, see
-//     dist/remote_registry.h).
+//     cache, plus the peer health monitor (heartbeat + failure streaks,
+//     see dist/remote_registry.h).
 //
 // Failure testing: Kill() tears the store and RPC server down abruptly —
-// no pin release, no goodbye to peers — simulating a crash; Restart()
+// no goodbye to peers — simulating a crash; Restart()
 // rebuilds the whole software stack on the SAME fabric identity (node
 // id, pool, shared-index and generation regions) and the same RPC port
 // with a higher generation-table epoch, so surviving peers' channels
@@ -47,7 +46,6 @@ struct NodeOptions {
   // StoreOptions::spill_dir.
   std::string spill_dir;
   bool check_global_uniqueness = true;
-  bool pin_remote_objects = true;
   // Shared-index extension (paper §V-B): publish sealed objects into a
   // table in disaggregated memory that peers read directly instead of
   // calling Plasma.Lookup.
@@ -56,8 +54,9 @@ struct NodeOptions {
   // Mapped data plane (zero-RPC remote reads): serve remote Gets as
   // generation-stamped descriptors and let clients copy through their
   // own fabric mapping with a seqlock-style re-check
-  // (plasma/generation_table.h).
-  bool mapped_remote_reads = false;
+  // (plasma/generation_table.h). Off reproduces the paper's unvalidated
+  // lookup-then-load baseline; see StoreOptions::mapped_remote_reads.
+  bool mapped_remote_reads = true;
   // Every node exports a generation table next to its pool, whether or
   // not it serves mapped reads: peers validate their cached lookups
   // (dist/lookup_cache.h) against it, and mapped readers their copies.
@@ -80,11 +79,11 @@ class Node {
   // Starts the store event loop, the RPC server, and (when the registry
   // has a heartbeat interval) the peer health monitor.
   Status Start() EXCLUDES(lifecycle_mutex_);
-  // Releases remote pins and stops both services. Idempotent.
+  // Stops the health monitor and both services. Idempotent.
   void Stop() EXCLUDES(lifecycle_mutex_);
 
-  // Abrupt crash: stops everything WITHOUT releasing pins or notifying
-  // peers. Survivors find out through their health machines. Idempotent.
+  // Abrupt crash: stops everything without notifying peers. Survivors
+  // find out through their health machines. Idempotent.
   void Kill() EXCLUDES(lifecycle_mutex_);
   // Rebuilds the whole per-node stack (store, registry, RPC service) on
   // the same fabric identity and the same RPC port, then starts it.

@@ -119,28 +119,6 @@ Result<ProbeReply> ProbeReply::DecodeFrom(wire::Reader& r) {
   return m;
 }
 
-// ---- pin / unpin -----------------------------------------------------------
-
-void PinRequest::EncodeTo(wire::Writer& w) const {
-  w.PutObjectId(id);
-  w.PutU32(peer_node);
-}
-Result<PinRequest> PinRequest::DecodeFrom(wire::Reader& r) {
-  PinRequest m;
-  MDOS_ASSIGN_OR_RETURN(m.id, r.GetObjectId());
-  MDOS_ASSIGN_OR_RETURN(m.peer_node, r.GetU32());
-  return m;
-}
-
-void PinReply::EncodeTo(wire::Writer& w) const {
-  plasma::EncodeStatus(w, status);
-}
-Result<PinReply> PinReply::DecodeFrom(wire::Reader& r) {
-  PinReply m;
-  MDOS_RETURN_IF_ERROR(plasma::DecodeStatus(r, &m.status));
-  return m;
-}
-
 // ---- ping (heartbeat) ------------------------------------------------------
 
 void PingRequest::EncodeTo(wire::Writer& w) const { w.PutU32(from_node); }

@@ -6,7 +6,6 @@
 //                         (shared-index extension) the index region
 //   Plasma.Lookup       — batched sealed-object location lookup
 //   Plasma.Probe        — id-uniqueness probe (sees unsealed objects too)
-//   Plasma.Pin/Unpin    — distributed usage tracking (remote pins)
 //   Plasma.Ping         — liveness heartbeat driving peer health states
 //   Plasma.Replicate    — push one sealed object's bytes to a replica
 //   Plasma.ReplicaDrop  — origin deleted: drop the local replica copy
@@ -27,8 +26,6 @@ namespace mdos::dist {
 inline constexpr const char* kMethodHello = "Plasma.Hello";
 inline constexpr const char* kMethodLookup = "Plasma.Lookup";
 inline constexpr const char* kMethodProbe = "Plasma.Probe";
-inline constexpr const char* kMethodPin = "Plasma.Pin";
-inline constexpr const char* kMethodUnpin = "Plasma.Unpin";
 inline constexpr const char* kMethodPing = "Plasma.Ping";
 inline constexpr const char* kMethodReplicate = "Plasma.Replicate";
 inline constexpr const char* kMethodReplicaDrop = "Plasma.ReplicaDrop";
@@ -92,25 +89,6 @@ struct ProbeReply {
   void EncodeTo(wire::Writer& w) const;
   static Result<ProbeReply> DecodeFrom(wire::Reader& r);
 };
-
-// ---- pin / unpin -----------------------------------------------------------
-
-struct PinRequest {
-  ObjectId id;
-  uint32_t peer_node = 0;  // the pinning (requesting) node
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PinRequest> DecodeFrom(wire::Reader& r);
-};
-
-struct PinReply {
-  Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PinReply> DecodeFrom(wire::Reader& r);
-};
-
-// Unpin reuses the same shapes.
-using UnpinRequest = PinRequest;
-using UnpinReply = PinReply;
 
 // ---- ping (heartbeat) ------------------------------------------------------
 

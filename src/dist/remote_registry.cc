@@ -11,7 +11,7 @@ namespace mdos::dist {
 namespace {
 
 // A connectivity failure feeds the health machine; an application-level
-// error (KeyError from an unpin race, Invalid, ...) proves the peer is
+// error (KeyError from a replica-drop race, Invalid, ...) proves the peer is
 // alive and healthy enough to reject us.
 bool IsConnectivityError(const Status& st) {
   switch (st.code()) {
@@ -317,14 +317,7 @@ void RemoteStoreRegistry::HandlePeerDeath(uint32_t node_id) {
       peer->regions = PeerRegions{};
     }
   }
-  // Pins we hold on the dead peer have no remote state left to release.
-  uint64_t dropped = usage_.DropPinsForNode(node_id);
-  if (dropped > 0) {
-    MDOS_LOG_INFO << "node " << self_node_ << ": dropped " << dropped
-                  << " pins held on dead peer " << node_id;
-  }
-  // Pins the dead peer held on us must stop blocking eviction — the
-  // cluster layer wires this to Store::ReleasePinsForPeer.
+  // The cluster layer wires this to Store::RequestReheal.
   if (on_peer_dead_) on_peer_dead_(node_id);
 }
 
@@ -395,7 +388,11 @@ bool RemoteStoreRegistry::CachedLocationValid(
     const std::vector<std::shared_ptr<Peer>>& peers, tf::AccessBatch* wave) {
   for (const auto& peer : peers) {
     if (peer->node_id != hit.home_node) continue;
+    // The epoch and slot loads cross the same fabric link as the payload:
+    // a cut link leaves the table unreadable.
     return peer->regions.gen_reader.has_value() &&
+           peer->regions.gen_attachment->CheckLink(2 * sizeof(uint64_t))
+               .ok() &&
            peer->regions.gen_reader->Epoch(wave) == hit.gen_epoch &&
            peer->regions.gen_reader->Read(hit.gen_slot, wave) == hit.generation;
   }
@@ -681,89 +678,6 @@ bool RemoteStoreRegistry::IdKnownRemotely(const ObjectId& id,
   return false;
 }
 
-Status RemoteStoreRegistry::PinRemote(
-    const ObjectId& id, const plasma::RemoteObjectLocation& loc,
-    Deadline deadline) {
-  if (deadline.expired()) {
-    // The location may be perfectly valid — do not invalidate, just
-    // refuse to start an RPC there is no budget left for.
-    {
-      MutexLock lock(mutex_);
-      ++stats_.deadline_exhausted;
-    }
-    return Status::DeadlineExceeded(
-        "pin: deadline exhausted before the RPC");
-  }
-  auto peer = FindLivePeer(loc.home_node);
-  if (peer == nullptr) {
-    // Unknown or dead home: the location is unusable; make sure it never
-    // serves another Get from the cache.
-    if (cache_ != nullptr) cache_->Invalidate(id);
-    return Status::Unavailable("pin: peer node " +
-                               std::to_string(loc.home_node) +
-                               " is unavailable");
-  }
-  PinRequest request;
-  request.id = id;
-  request.peer_node = self_node_;
-  {
-    MutexLock lock(mutex_);
-    ++stats_.pin_rpcs;
-  }
-  const int64_t rpc_start = MonotonicNanos();
-  auto reply = PeerCall<PinReply>(peer, kMethodPin, request, deadline);
-  Status status =
-      reply.ok() ? reply->status : reply.status();
-  RecordPeerResult(peer, !IsConnectivityError(status));
-  if (reply.ok()) RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
-  if (!status.ok()) {
-    // Either the peer is unreachable or it no longer has the object
-    // (deleted or evicted after the lookup). Both ways
-    // the location must not be served again: invalidate and let the
-    // caller re-run the full lookup path.
-    if (cache_ != nullptr) cache_->Invalidate(id);
-    MutexLock lock(mutex_);
-    if (status.Is(StatusCode::kDeadlineExceeded)) {
-      // The RPC itself burned the remaining budget (the expired-upfront
-      // case is counted above).
-      ++stats_.deadline_exhausted;
-    }
-    ++stats_.stale_pins_detected;
-    return status;
-  }
-  usage_.RecordPin(id, loc);
-  return Status::OK();
-}
-
-void RemoteStoreRegistry::UnpinRemote(
-    const ObjectId& id, const plasma::RemoteObjectLocation& loc) {
-  // Only unpin what we recorded: a pin whose RPC failed (or that targeted
-  // a dead peer) has no remote state to release.
-  if (!usage_.RecordUnpin(id)) return;
-  auto peer = FindLivePeer(loc.home_node);
-  if (peer == nullptr) return;  // no remote state left to release
-  UnpinRequest request;
-  request.id = id;
-  request.peer_node = self_node_;
-  {
-    MutexLock lock(mutex_);
-    ++stats_.pin_rpcs;
-  }
-  auto reply = peer->channel->CallTyped<UnpinReply>(
-      kMethodUnpin, request, options_.rpc_timeout_ms);
-  Status status = reply.ok() ? reply->status : reply.status();
-  if (IsConnectivityError(status)) {
-    // The unpin never reached the peer: re-record it so the pin is not
-    // leaked — ReleaseAllPins (or a later unpin) retries. Application
-    // errors (KeyError) mean the remote side already forgot the pin;
-    // nothing to re-record. Re-record BEFORE feeding the failure to the
-    // health machine: if this failure is the one that declares the peer
-    // dead, DropPinsForNode must see (and drop) this pin too.
-    usage_.RecordPin(id, loc);
-  }
-  RecordPeerResult(peer, !IsConnectivityError(status));
-}
-
 void RemoteStoreRegistry::NotifyDeleted(const ObjectId& id) {
   // Peers need no message: the delete bumped this store's generation
   // table, which fails their cached copies of the location on next use.
@@ -887,14 +801,6 @@ void RemoteStoreRegistry::DropReplicas(
     // reach feeds the health machine and its copy is reclaimed by the
     // death path.
     RecordPeerResult(peer, !IsConnectivityError(status));
-  }
-}
-
-void RemoteStoreRegistry::ReleaseAllPins() {
-  for (const auto& pin : usage_.Snapshot()) {
-    for (uint32_t i = 0; i < pin.count; ++i) {
-      UnpinRemote(pin.id, pin.location);
-    }
   }
 }
 

@@ -22,23 +22,21 @@
 //        └────any success─────┴──────ping success (heartbeat)─────┘
 //
 // driven by per-call failure streaks and by a Plasma.Ping heartbeat loop
-// (StartHealthMonitor). Data-path RPCs (lookup/probe/pin/unpin) skip
+// (StartHealthMonitor). Data-path RPCs (lookup/probe/replicate) skip
 // dead peers entirely — a dead peer costs zero RPCs per call, not an
 // rpc_timeout_ms stall — while the heartbeat keeps pinging it so a
 // restarted peer is re-admitted automatically (the channels redial with
-// backoff, see rpc/channel.h). Declaring a peer dead also drops our pins
-// on it from the usage tracker, invalidates its cached locations, and
-// fires the on-peer-dead callback (the cluster layer wires it to
-// Store::ReleasePinsForPeer so the corpse stops blocking eviction).
+// backoff, see rpc/channel.h). Declaring a peer dead also invalidates
+// its cached locations and fires the on-peer-dead callback (the cluster
+// layer wires it to Store::RequestReheal).
 //
-// Thread-safety: LookupRemote/IdKnownRemotely/Pin/Unpin may be called
-// concurrently from several of the store's shard threads (the sharded
-// core resolves remote ids from whichever shard homes the requesting
-// connection); AddPeer/ReleaseAllPins from control threads; the
-// heartbeat runs its own thread. Peer-list and health access is
-// mutex-guarded, RpcChannels are internally synchronized, the lookup
-// cache and usage tracker carry their own mutexes, and RPC calls are
-// always issued outside the registry mutex.
+// Thread-safety: LookupRemote/IdKnownRemotely may be called concurrently
+// from several of the store's shard threads (the sharded core resolves
+// remote ids from whichever shard homes the requesting connection);
+// AddPeer from control threads; the heartbeat runs its own thread.
+// Peer-list and health access is mutex-guarded, RpcChannels are
+// internally synchronized, the lookup cache carries its own mutex, and
+// RPC calls are always issued outside the registry mutex.
 #pragma once
 
 #include <atomic>
@@ -55,7 +53,6 @@
 #include "common/status.h"
 #include "dist/lookup_cache.h"
 #include "dist/messages.h"
-#include "dist/usage_tracker.h"
 #include "net/fault_injector.h"
 #include "plasma/generation_table.h"
 #include "plasma/shared_index.h"
@@ -127,14 +124,16 @@ struct RegistryOptions {
 struct RegistryStats {
   uint64_t lookup_rpcs = 0;   // Plasma.Lookup calls issued
   uint64_t probe_rpcs = 0;    // Plasma.Probe calls issued
-  uint64_t pin_rpcs = 0;      // Plasma.Pin + Plasma.Unpin calls issued
+  // Always 0: remote reads take no pins since the generation-validated
+  // descriptor became the only remote read path. Kept so existing
+  // readers of the field (benchmarks) keep compiling.
+  uint64_t pin_rpcs = 0;
   uint64_t failed_rpcs = 0;   // connectivity failures (feeds the health
                               // machine; application errors don't count)
   uint64_t index_hits = 0;    // ids resolved by reading a peer's index
   uint64_t heartbeats = 0;    // Plasma.Ping calls issued
   uint64_t peers_died = 0;    // healthy/suspect → dead transitions
   uint64_t peers_recovered = 0;  // suspect/dead → healthy transitions
-  uint64_t stale_pins_detected = 0;  // failed pins at cached locations
   // Cached descriptors invalidated because their generation (or epoch)
   // no longer matched, or could not be read from, the home peer's
   // generation table.
@@ -171,17 +170,13 @@ class RemoteStoreRegistry : public plasma::DistHooks {
 
   // Invoked (outside the registry mutex, from whichever thread observed
   // the failure) whenever a peer transitions to dead. The cluster layer
-  // wires this to Store::ReleasePinsForPeer.
+  // wires this to Store::RequestReheal.
   void SetPeerDeathHandler(std::function<void(uint32_t)> handler) {
     on_peer_dead_ = std::move(handler);
   }
 
-  // Unpins everything this node still holds (shutdown path). Idempotent.
-  void ReleaseAllPins();
-
   // nullptr when the cache extension is disabled.
   LookupCache* lookup_cache() { return cache_.get(); }
-  const UsageTracker& usage() const { return usage_; }
   RegistryStats stats() const EXCLUDES(mutex_);
 
   // ---- DistHooks (called by the owning store) -------------------------
@@ -190,11 +185,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
       const std::vector<ObjectId>& ids, Deadline deadline) override;
   [[nodiscard]] bool IdKnownRemotely(const ObjectId& id,
                                      Deadline deadline) override;
-  Status PinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc,
-                   Deadline deadline) override;
-  void UnpinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc) override;
   void NotifyDeleted(const ObjectId& id) override;
   std::vector<plasma::PeerStatsEntry> PeerHealth() override;
   uint64_t GenerationRetries() override;
@@ -208,10 +198,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   }
   [[nodiscard]] bool IdKnownRemotely(const ObjectId& id) {
     return IdKnownRemotely(id, Deadline::Infinite());
-  }
-  Status PinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc) {
-    return PinRemote(id, loc, Deadline::Infinite());
   }
   // Replication fan-out: pushes the bytes to up to `copies_wanted` live
   // peers not in `exclude`, preferring healthy peers with the lowest
@@ -269,8 +255,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   // Peers data-path RPCs may talk to (dead peers are skipped).
   std::vector<std::shared_ptr<Peer>> SnapshotLivePeers() const
       EXCLUDES(mutex_);
-  // Peer lookup that treats dead peers as absent (one lock, one scan —
-  // the pin/unpin hot path).
+  // Peer lookup that treats dead peers as absent (one lock, one scan).
   std::shared_ptr<Peer> FindLivePeer(uint32_t node_id) const
       EXCLUDES(mutex_);
 
@@ -361,7 +346,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   const uint32_t self_node_;
   const RegistryOptions options_;
   std::unique_ptr<LookupCache> cache_;
-  UsageTracker usage_;
   std::function<void(uint32_t)> on_peer_dead_;
 
   mutable Mutex mutex_;

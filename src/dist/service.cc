@@ -78,28 +78,6 @@ void StoreService::RegisterWith(rpc::RpcServer& server) {
       });
 
   server.RegisterHandler(
-      kMethodPin,
-      [store](const std::vector<uint8_t>& payload)
-          -> Result<std::vector<uint8_t>> {
-        MDOS_ASSIGN_OR_RETURN(PinRequest request,
-                              DecodeRequest<PinRequest>(payload));
-        PinReply reply;
-        reply.status = store->PinForPeer(request.id, request.peer_node);
-        return EncodeReply(reply);
-      });
-
-  server.RegisterHandler(
-      kMethodUnpin,
-      [store](const std::vector<uint8_t>& payload)
-          -> Result<std::vector<uint8_t>> {
-        MDOS_ASSIGN_OR_RETURN(UnpinRequest request,
-                              DecodeRequest<UnpinRequest>(payload));
-        UnpinReply reply;
-        reply.status = store->UnpinForPeer(request.id, request.peer_node);
-        return EncodeReply(reply);
-      });
-
-  server.RegisterHandler(
       kMethodPing,
       [store](const std::vector<uint8_t>& payload)
           -> Result<std::vector<uint8_t>> {

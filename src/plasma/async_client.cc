@@ -390,12 +390,11 @@ Future<Status> AsyncClient::AbortAsync(const ObjectId& id,
 }
 
 Future<Result<std::vector<ObjectBuffer>>> AsyncClient::GetAsync(
-    const std::vector<ObjectId>& ids, uint64_t timeout_ms, bool pinned,
+    const std::vector<ObjectId>& ids, uint64_t timeout_ms,
     Deadline deadline) {
   GetRequest request;
   request.ids = ids;
   request.timeout_ms = timeout_ms;
-  request.pinned = pinned;
   return Dispatch<GetReply>(
       MessageType::kGetRequest, MessageType::kGetReply, request, deadline,
       [this](GetReply&& reply) -> Result<std::vector<ObjectBuffer>> {
@@ -411,21 +410,11 @@ Future<Result<std::vector<ObjectBuffer>>> AsyncClient::GetAsync(
 
 Future<Result<ObjectBuffer>> AsyncClient::GetAsync(const ObjectId& id,
                                                    uint64_t timeout_ms,
-                                                   bool pinned,
+                                                   bool fallback,
                                                    Deadline deadline) {
-  return GetOneInternal(id, timeout_ms, pinned, /*fallback=*/false,
-                        deadline);
-}
-
-Future<Result<ObjectBuffer>> AsyncClient::GetOneInternal(const ObjectId& id,
-                                                         uint64_t timeout_ms,
-                                                         bool pinned,
-                                                         bool fallback,
-                                                         Deadline deadline) {
   GetRequest request;
   request.ids = {id};
   request.timeout_ms = timeout_ms;
-  request.pinned = pinned;
   request.fallback = fallback;
   return Dispatch<GetReply>(
       MessageType::kGetRequest, MessageType::kGetReply, request, deadline,
@@ -445,16 +434,19 @@ Future<Result<ObjectBuffer>> AsyncClient::GetOneInternal(const ObjectId& id,
 
 Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
   // The descriptor went stale mid-read: its object was evicted, spilled,
-  // deleted, or re-created at the home store. Fetch a pinned replacement
-  // (`fallback` tags the request so the store counts mapped_fallbacks).
+  // deleted, or re-created at the home store. Reissue the Get: the
+  // store's lookup drops the stale cache entry on its generation check,
+  // the home restores a spilled object, and a freshly stamped descriptor
+  // comes back (`fallback` tags the request so the store counts
+  // mapped_fallbacks). A gone object fails here with KeyError.
   MDOS_ASSIGN_OR_RETURN(ObjectBuffer fresh,
-                        GetOneInternal(stale.id_, /*timeout_ms=*/0,
-                                       /*pinned=*/true, /*fallback=*/true,
-                                       Deadline::Infinite())
+                        GetAsync(stale.id_, /*timeout_ms=*/0,
+                                 /*fallback=*/true, Deadline::Infinite())
                             .Take());
-  // One Release retires the dead mapped reference — the store consumes
-  // mapped refs before pinned ones — leaving exactly the new pin for the
-  // caller's eventual Release. This holds on the error path below too.
+  // One Release retires the stale reference — the store consumes remote
+  // refs (which hold nothing) before local pins — leaving exactly the
+  // fresh reference for the caller's eventual Release. This holds on the
+  // error path below too.
   MDOS_WARN_IF_ERROR(ReleaseAsync(stale.id_).Take(),
                      "retiring stale mapped reference during refetch");
   if (fresh.data_size_ != stale.data_size_ ||
@@ -465,13 +457,16 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
                            " was replaced while a mapped read was in "
                            "flight");
   }
-  // Rebind the caller's buffer onto the pinned bytes and drop the
-  // validation state: reads retried by the caller now hit stable memory.
+  // Rebind the caller's buffer onto the fresh backing, validation state
+  // included: the retried copy is checked against the new generation.
   stale.region_ = fresh.region_;
   stale.raw_ = fresh.raw_;
   stale.base_ = fresh.base_;
   stale.remote_ = fresh.remote_;
-  stale.gen_.reset();
+  stale.gen_ = fresh.gen_;
+  stale.generation_ = fresh.generation_;
+  stale.gen_slot_ = fresh.gen_slot_;
+  stale.gen_epoch_ = fresh.gen_epoch_;
   return Status::OK();
 }
 

@@ -87,18 +87,19 @@ class AsyncClient {
 
   // Retrieves buffers; the store holds the reply until the objects are
   // sealed (anywhere) or `timeout_ms` expires, so the future resolves at
-  // availability. Entries that never appeared are invalid buffers.
-  // `pinned` forces the RPC+pin path for remote objects even when the
-  // store serves mapped (generation-validated) descriptors. A finite
-  // `deadline` additionally clamps the store-side park: the reply comes
-  // back (reporting what was found) no later than the deadline.
+  // availability. Entries that never appeared are invalid buffers. A
+  // finite `deadline` additionally clamps the store-side park: the reply
+  // comes back (reporting what was found) no later than the deadline.
   Future<Result<std::vector<ObjectBuffer>>> GetAsync(
       const std::vector<ObjectId>& ids, uint64_t timeout_ms = 0,
-      bool pinned = false, Deadline deadline = {});
-  // Single-id form; an absent object resolves to KeyError.
+      Deadline deadline = {});
+  // Single-id form; an absent object resolves to KeyError. `fallback`
+  // tags the request as a mapped buffer's reissue after a failed
+  // generation check, so the store counts it in mapped_fallbacks;
+  // ordinary callers pass false.
   Future<Result<ObjectBuffer>> GetAsync(const ObjectId& id,
                                         uint64_t timeout_ms = 0,
-                                        bool pinned = false,
+                                        bool fallback = false,
                                         Deadline deadline = {});
 
   Future<Status> ReleaseAsync(const ObjectId& id, Deadline deadline = {});
@@ -164,16 +165,11 @@ class AsyncClient {
       uint32_t node, uint32_t region) EXCLUDES(region_mutex_);
   ObjectBuffer MakeBuffer(const GetReplyEntry& entry, bool writable);
 
-  // Single-id Get with explicit mapped-plane flags (`fallback` tags the
-  // request as a generation-mismatch refetch for the store's counters).
-  Future<Result<ObjectBuffer>> GetOneInternal(const ObjectId& id,
-                                              uint64_t timeout_ms,
-                                              bool pinned, bool fallback,
-                                              Deadline deadline);
   // Called by a mapped ObjectBuffer whose generation check failed:
-  // fetches a pinned replacement, retires the stale mapped reference,
-  // and rebinds the buffer's backing in place. Blocking (round-trips on
-  // this connection); must not run on the reply-dispatch thread.
+  // reissues the Get for a fresh descriptor, retires the stale
+  // reference, and rebinds the buffer's backing in place. KeyError when
+  // the object is gone. Blocking (round-trips on this connection); must
+  // not run on the reply-dispatch thread.
   Status RefetchMapped(const ObjectBuffer& stale);
 
   net::UniqueFd fd_;

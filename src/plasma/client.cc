@@ -27,18 +27,18 @@ Status ObjectBuffer::CheckAccess(uint64_t section_size, uint64_t offset,
 
 Status ObjectBuffer::RawRead(uint64_t offset, void* dst,
                              uint64_t size) const {
-  // Mapped buffers loop at most twice: a generation mismatch after the
-  // first copy swaps in a pinned backing (FallbackToPinned clears gen_),
-  // and the second copy reads stable bytes. The caller never sees torn
-  // data — a failed fallback surfaces as an error, not as the copy.
-  for (;;) {
+  // A generation mismatch after a copy reissues the descriptor
+  // (Reissue rebinds the backing and its generation) and copies again,
+  // at most kMaxMappedReadRounds times. The caller never sees torn data:
+  // a failed or exhausted reissue surfaces as an error, not as the copy.
+  for (uint32_t round = 1;; ++round) {
     if (region_ != nullptr) {
       MDOS_RETURN_IF_ERROR(region_->Read(base_ + offset, dst, size));
     } else {
       std::memcpy(dst, raw_ + base_ + offset, size);
     }
     if (gen_ == nullptr || GenerationIntact()) return Status::OK();
-    MDOS_RETURN_IF_ERROR(FallbackToPinned());
+    MDOS_RETURN_IF_ERROR(Reissue(round));
   }
 }
 
@@ -69,16 +69,16 @@ Status ObjectBuffer::WriteData(uint64_t offset, const void* src,
 Result<uint32_t> ObjectBuffer::ChecksumData(uint64_t chunk) const {
   if (!valid_) return Status::Invalid("buffer is not valid");
   // Same retry shape as RawRead. The whole streaming checksum restarts
-  // after a fallback: chunks copied before and after a transition must
+  // after a reissue: chunks copied before and after a transition must
   // never be mixed into one CRC.
-  for (;;) {
+  for (uint32_t round = 1;; ++round) {
     Result<uint32_t> crc =
         region_ != nullptr
             ? region_->ChecksumRead(base_, data_size_, chunk)
             : Result<uint32_t>(Crc32(raw_ + base_, data_size_));
     if (!crc.ok()) return crc;
     if (gen_ == nullptr || GenerationIntact()) return crc;
-    MDOS_RETURN_IF_ERROR(FallbackToPinned());
+    MDOS_RETURN_IF_ERROR(Reissue(round));
   }
 }
 
@@ -93,7 +93,12 @@ bool ObjectBuffer::GenerationIntact() const {
          gen_->reader.Read(gen_slot_) == generation_;
 }
 
-Status ObjectBuffer::FallbackToPinned() const {
+Status ObjectBuffer::Reissue(uint32_t failed_rounds) const {
+  if (failed_rounds >= kMaxMappedReadRounds) {
+    return Status::Unavailable(
+        "mapped object " + id_.Hex() + " changed during each of " +
+        std::to_string(failed_rounds) + " reads");
+  }
   if (refetch_ == nullptr) {
     return Status::Unavailable(
         "mapped object changed mid-read and the buffer has no client to "
@@ -277,8 +282,7 @@ Result<std::vector<ObjectBuffer>> PlasmaClient::Get(
     Deadline deadline) {
   AssertSingleThread();
   return TakeWithDeadline(
-      core_->GetAsync(ids, timeout_ms, /*pinned=*/false, deadline),
-      deadline);
+      core_->GetAsync(ids, timeout_ms, deadline), deadline);
 }
 
 Result<ObjectBuffer> PlasmaClient::Get(const ObjectId& id,
@@ -286,16 +290,8 @@ Result<ObjectBuffer> PlasmaClient::Get(const ObjectId& id,
                                        Deadline deadline) {
   AssertSingleThread();
   return TakeWithDeadline(
-      core_->GetAsync(id, timeout_ms, /*pinned=*/false, deadline),
+      core_->GetAsync(id, timeout_ms, /*fallback=*/false, deadline),
       deadline);
-}
-
-Result<ObjectBuffer> PlasmaClient::GetPinned(const ObjectId& id,
-                                             uint64_t timeout_ms,
-                                             Deadline deadline) {
-  AssertSingleThread();
-  return TakeWithDeadline(
-      core_->GetAsync(id, timeout_ms, /*pinned=*/true, deadline), deadline);
 }
 
 Status PlasmaClient::Release(const ObjectId& id, Deadline deadline) {

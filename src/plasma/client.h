@@ -3,7 +3,7 @@
 //
 // Mirrors the Apache Arrow Plasma client API: Create/Seal publish an
 // immutable object, Get retrieves read-only buffers (blocking with a
-// timeout until objects are sealed), Release unpins. In the
+// timeout until objects are sealed), Release drops the reference. In the
 // memory-disaggregated framework the distributed nature "largely remains
 // hidden to Plasma clients" (paper §IV-A2): Get transparently returns
 // buffers that may point into a *remote* node's disaggregated memory; the
@@ -76,9 +76,9 @@ class ObjectBuffer {
   uint64_t metadata_size() const { return metadata_size_; }
   bool writable() const { return writable_; }
   bool is_remote() const { return remote_; }
-  // True while the buffer is a mapped (unpinned) remote descriptor.
-  // Every read validates the object's generation after copying; a
-  // transparent fallback to a pinned Get clears this flag.
+  // True while the buffer is a mapped (generation-validated) remote
+  // descriptor. Every read validates the object's generation after
+  // copying and transparently reissues the descriptor on a mismatch.
   bool is_mapped() const { return gen_ != nullptr; }
   bool valid() const { return valid_; }
 
@@ -100,8 +100,13 @@ class ObjectBuffer {
  private:
   friend class AsyncClient;
 
+  // Copies of a mapped buffer per read before it gives up on an object
+  // that keeps changing under it (each failed copy reissues the
+  // descriptor once).
+  static constexpr uint32_t kMaxMappedReadRounds = 4;
+
   // Shared by the owning AsyncClient and every mapped buffer it hands
-  // out: the transparent mapped→pinned fallback reaches back into the
+  // out: the transparent descriptor reissue reaches back into the
   // client from a const read path, and must go inert (not dangle) when
   // the client disconnects.
   struct RefetchContext {
@@ -117,10 +122,11 @@ class ObjectBuffer {
   // match the descriptor after a completed copy, i.e. no destructive
   // transition overlapped it. Only called when gen_ is set.
   [[nodiscard]] bool GenerationIntact() const;
-  // Generation mismatch: retire the mapped descriptor and swap in a
-  // pinned buffer from the owning client (clears gen_), so the caller's
-  // read can be retried against stable bytes.
-  Status FallbackToPinned() const;
+  // Generation mismatch after `failed_rounds` copies: reissue the
+  // descriptor through the owning client and rebind this buffer to it,
+  // so the caller's read can be retried. Unavailable once the round
+  // bound is reached; KeyError when the object is gone.
+  Status Reissue(uint32_t failed_rounds) const;
 
   ObjectId id_;
   bool valid_ = false;
@@ -129,8 +135,8 @@ class ObjectBuffer {
   uint64_t metadata_size_ = 0;
 
   // The backing (and the mapped-validation state below) is mutable:
-  // reads are const, but a generation-mismatch fallback transparently
-  // rebinds the buffer from the mapped region to a pinned one.
+  // reads are const, but a generation mismatch transparently rebinds the
+  // buffer to a freshly issued descriptor.
   mutable bool remote_ = false;
   mutable uint64_t base_ = 0;  // offset of the data section in region/map
 
@@ -216,14 +222,7 @@ class PlasmaClient {
   Result<ObjectBuffer> Get(const ObjectId& id, uint64_t timeout_ms = 0,
                            Deadline deadline = {});
 
-  // Like Get, but forces the RPC+pin remote path even when the store
-  // serves mapped descriptors: the returned buffer is pinned at its home
-  // store and needs no generation validation. This is the rung mapped
-  // reads fall back to, and the baseline benchmarks compare against.
-  Result<ObjectBuffer> GetPinned(const ObjectId& id, uint64_t timeout_ms = 0,
-                                 Deadline deadline = {});
-
-  // Unpins one Get reference on the object.
+  // Drops one Get reference on the object.
   Status Release(const ObjectId& id, Deadline deadline = {});
 
   // True when the object is sealed in the local store.

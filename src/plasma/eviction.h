@@ -3,8 +3,9 @@
 // Upstream Plasma evicts least-recently-used unpinned objects when a
 // create cannot be satisfied. The paper highlights the distributed twist:
 // "in-use objects will not be evicted, because clients might still be
-// reading from memory" — and with remote clients, usage must be shared
-// across stores (§IV-A2).
+// reading from memory" (§IV-A2). Remote readers are not tracked here:
+// their descriptors are validated against the generation table, which
+// every eviction bumps (plasma/generation_table.h).
 //
 // Contract — what is (and is not) in the LRU:
 //
@@ -14,13 +15,10 @@
 //     restored — they hold no pool bytes to reclaim.
 //   * This policy tracks recency ONLY. It does not know about pins; the
 //     caller passes an `evictable` predicate to ChooseVictims and the
-//     Store's predicate (IsEvictable) excludes every object that is
-//       - still mapped by a local client (local_refs != 0 — a Get that
-//         has not been Released keeps the buffer mmap'd, so its memory
-//         must not be reused under the reader),
-//       - pinned by a remote store (remote_pins, the distributed
-//         usage-tracking extension), or
-//       - flagged by the external pin check (cluster-level tracker).
+//     Store's predicate (IsEvictable) excludes every object still
+//     mapped by a local client (local_refs != 0 — a Get that has not
+//     been Released keeps the buffer mmap'd, so its memory must not be
+//     reused under the reader).
 //     An object excluded by the predicate is skipped, not unqueued: it
 //     keeps its LRU position and becomes a candidate again the moment
 //     its last pin drops. eviction_test's EvictWhileMappedIsRefused

@@ -2,7 +2,7 @@
 // disaggregated memory (the mapped data plane's validation protocol).
 //
 // The zero-RPC remote read path hands clients (node, region, offset,
-// size, generation) descriptors instead of pinned bytes. Nothing stops
+// size, generation) descriptors and takes no pin at the home. Nothing stops
 // the home store from evicting, spilling, deleting, or re-creating the
 // object while a reader is still copying from the mapped region — so
 // every id hashes to a slot in this table, and the home store BUMPS the
@@ -10,7 +10,7 @@
 // seal, destructive evict, spill, spill-restore re-insert, delete. A
 // mapped reader copies the payload, then re-reads the slot seqlock-style:
 // an unchanged generation proves no such transition overlapped the copy;
-// a changed one forces the reader down the RPC+pin fallback ladder.
+// a changed one makes the reader reissue the Get for a fresh descriptor.
 //
 // Slots are plain 64-bit atomics (no seqlock of their own — a bump is a
 // single fetch_add), so unlike the shared index the table needs no

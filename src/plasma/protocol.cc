@@ -114,7 +114,7 @@ void GetRequest::EncodeTo(wire::Writer& w) const {
     w2.PutObjectId(id);
   });
   w.PutVarint(timeout_ms);
-  w.PutBool(pinned);
+  w.PutBool(false);  // reserved: the retired `pinned` flag
   w.PutBool(fallback);
 }
 Result<GetRequest> GetRequest::DecodeFrom(wire::Reader& r) {
@@ -123,7 +123,7 @@ Result<GetRequest> GetRequest::DecodeFrom(wire::Reader& r) {
       m.ids, (r.GetRepeated<ObjectId>(
                  [](wire::Reader& r2) { return r2.GetObjectId(); })));
   MDOS_ASSIGN_OR_RETURN(m.timeout_ms, r.GetVarint());
-  MDOS_ASSIGN_OR_RETURN(m.pinned, r.GetBool());
+  MDOS_RETURN_IF_ERROR(r.GetBool().status());  // reserved (retired `pinned`)
   MDOS_ASSIGN_OR_RETURN(m.fallback, r.GetBool());
   return m;
 }

@@ -136,14 +136,10 @@ struct AbortReply {
 struct GetRequest {
   std::vector<ObjectId> ids;
   uint64_t timeout_ms = 0;  // 0: reply immediately with what exists
-  // Force the RPC+pin path for remote objects even when the store runs
-  // in mapped-remote-reads mode: the reply entries are pinned at their
-  // home store and carry no generation validation burden. This is the
-  // bottom of the mapped read path's fallback ladder (and the baseline
-  // mode benchmarks compare against).
-  bool pinned = false;
-  // Set by the client's transparent generation-mismatch refetch so the
-  // store can count mapped_fallbacks (plain pinned Gets don't).
+  // (The wire keeps a reserved bool here, always false: the retired
+  // `pinned` flag. See docs/protocol.md, versioning rule 1.)
+  // Set by the client's reissue after a mapped copy failed generation
+  // validation, so the store can count mapped_fallbacks.
   bool fallback = false;
   void EncodeTo(wire::Writer& w) const;
   static Result<GetRequest> DecodeFrom(wire::Reader& r);
@@ -158,12 +154,13 @@ struct GetReplyEntry {
   uint64_t metadata_size = 0;
   uint32_t home_node = 0;        // remote only
   uint32_t home_region = 0;      // remote only: fabric RegionId
-  // Mapped data plane (zero-RPC remote reads): a mapped entry is NOT
-  // pinned at its home store — the client copies the payload from the
+  // Mapped data plane (zero-RPC remote reads): a mapped entry holds
+  // nothing at its home store — the client copies the payload from the
   // mapped region and validates `generation` against slot `gen_slot` of
   // the home node's generation table (region `gen_region`, incarnation
-  // `gen_epoch`) after every read; a mismatch falls back to a pinned
-  // re-Get. All four fields are meaningful only when `mapped` is true.
+  // `gen_epoch`) after every read; a mismatch reissues the Get for a
+  // fresh descriptor. All four fields are meaningful only when `mapped`
+  // is true.
   bool mapped = false;
   uint64_t generation = 0;
   uint64_t gen_slot = 0;
@@ -275,9 +272,10 @@ struct StoreStats {
   uint64_t peer_reconnects = 0;    // channel redials that succeeded
   uint64_t peer_heartbeats = 0;    // Plasma.Ping calls sent
   uint64_t peer_queued_notices = 0;  // always 0 (delete notices removed)
-  // Mapped data plane (zero-RPC remote reads; all but
-  // generation_retries are zero when StoreOptions::mapped_remote_reads
-  // is off — the lookup cache is validated either way).
+  // Mapped data plane (zero-RPC remote reads). mapped_reads,
+  // mapped_bytes and mapped_fallbacks stay zero with
+  // StoreOptions::mapped_remote_reads off; generation_retries counts
+  // lookup-cache validation either way.
   uint64_t mapped_reads = 0;       // remote Gets served as descriptors
   uint64_t mapped_bytes = 0;       // payload bytes those Gets exposed
   uint64_t generation_retries = 0;  // cached lookups voided by a gen bump

@@ -27,8 +27,9 @@
 // The paper's caveat applies and is inherited deliberately: an index hit
 // followed by a concurrent delete at the home store can hand out a
 // location whose buffer is being reused ("could result in corrupted
-// object buffers if not handled carefully"); enabling the distributed
-// usage-tracking extension (remote pins) closes that window.
+// object buffers if not handled carefully"). Index-path descriptors are
+// therefore stamped from the home's generation table, and mapped readers
+// re-check it after every copy, which closes that window.
 #pragma once
 
 #include <atomic>

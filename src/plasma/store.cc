@@ -589,20 +589,6 @@ void Store::DropClient(Shard& shard, int fd) {
       }
     }
   }
-  std::vector<std::pair<ObjectId, RemoteObjectLocation>> remote_unpins;
-  for (const auto& [id, ref] : conn->remote_refs) {
-    // Mapped refs owe the home store nothing; only pinned refs unpin.
-    for (uint32_t i = 0; i < ref.pinned; ++i) {
-      remote_unpins.emplace_back(id, ref.loc);
-    }
-  }
-  // RPC outside any shard mutex (see HandleCreate for the rationale).
-  if (dist_hooks_ != nullptr && options_.pin_remote_objects) {
-    for (const auto& [id, loc] : remote_unpins) {
-      // mdos-check: allow-blocking(DistHooks peer RPC, deadline-bounded; making the unpin path async is tracked in ROADMAP)
-      dist_hooks_->UnpinRemote(id, loc);
-    }
-  }
 }
 
 void Store::HandleConnect(Shard& home, ClientConn& conn,
@@ -747,7 +733,6 @@ Result<alloc::Allocation> Store::AllocateWithEviction(Shard& owner,
       MDOS_WARN_IF_ERROR(owner.arena->Free(removed->offset),
                          "freeing pool bytes of evicted victim");
       owner.eviction.Remove(victim);
-      owner.remote_pins.erase(victim);
       ++owner.eviction_count;
       freed_any = true;
     }
@@ -825,13 +810,7 @@ bool Store::IsEvictable(const Shard& owner, const ObjectId& id) const {
   auto entry = owner.table.Lookup(id);
   if (!entry.ok()) return false;
   if (entry->state != ObjectState::kSealed) return false;
-  if (entry->local_refs != 0) return false;
-  auto pins = owner.remote_pins.find(id);
-  if (pins != owner.remote_pins.end() && !pins->second.empty()) {
-    return false;
-  }
-  if (external_pin_check_ && external_pin_check_(id)) return false;
-  return true;
+  return entry->local_refs == 0;
 }
 
 void Store::HandleCreate(Shard& home, ClientConn& conn,
@@ -1124,11 +1103,9 @@ void Store::HandleGet(Shard& home, ClientConn& conn, uint64_t request_id,
   pending.op_deadline = op_deadline;
   pending.order = request->ids;
   pending.timeout_ms = request->timeout_ms;
-  pending.pinned = request->pinned;
-  pending.fallback = request->fallback;
   if (request->fallback) {
     // The client's mapped copy failed generation validation and it is
-    // refetching through the pinned ladder rung.
+    // reissuing the Get for a fresh descriptor.
     home.mapped_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -1148,36 +1125,24 @@ void Store::HandleGet(Shard& home, ClientConn& conn, uint64_t request_id,
   batch_gets->push_back(std::move(pending));
 }
 
-bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
+void Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
                               PendingGet& pending, const ObjectId& id,
                               const RemoteObjectLocation& loc,
-                              bool count_hit, Deadline deadline) {
-  // Mapped data plane: a generation-stamped location is handed out as an
-  // unpinned descriptor — zero RPCs to the home store. The client copies
-  // through its cached region attachment and re-checks the generation;
-  // a get that forced the pinned rung (fallback, bench baseline) takes
-  // the classic path below.
-  const bool mapped = options_.mapped_remote_reads && !pending.pinned &&
-                      loc.gen_region != UINT32_MAX;
+                              bool count_hit) {
+  // Mapped data plane: a generation-stamped location is handed out as a
+  // descriptor — zero RPCs to the home store. The client copies through
+  // its cached region attachment and re-checks the generation; a stale
+  // copy makes it reissue the Get. Without stamping (or with mapped
+  // reads off) the client gets the paper's plain lookup-then-load
+  // location.
+  const bool mapped =
+      options_.mapped_remote_reads && loc.gen_region != UINT32_MAX;
   if (mapped) {
-    auto& ref = conn.remote_refs[id];
-    ref.loc = loc;
-    ++ref.mapped;
     home.mapped_reads.fetch_add(1, std::memory_order_relaxed);
     home.mapped_bytes.fetch_add(loc.data_size + loc.metadata_size,
                                 std::memory_order_relaxed);
-  } else if (options_.pin_remote_objects && dist_hooks_ != nullptr) {
-    // Pin before handing the location out: a failed pin means the
-    // location went stale after its lookup (deleted or evicted at the
-    // home, restarted peer) and must not reach the client — it would
-    // read dangling pool offsets.
-    // mdos-check: allow-blocking(DistHooks pin RPC, deadline-bounded; correctness requires the pin to land before the location reaches the client)
-    Status pinned = dist_hooks_->PinRemote(id, loc, deadline);
-    if (!pinned.ok()) return false;
-    auto& ref = conn.remote_refs[id];
-    ref.loc = loc;
-    ++ref.pinned;
   }
+  ++conn.remote_refs[id];
   GetReplyEntry entry;
   entry.id = id;
   entry.found = true;
@@ -1198,28 +1163,6 @@ bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
     // stats never report more hits than look-ups.
     remote_lookup_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
-}
-
-bool Store::AdoptRemoteObjectWithRetry(Shard& home, ClientConn& conn,
-                                       PendingGet& pending,
-                                       const ObjectId& id,
-                                       const RemoteObjectLocation& loc,
-                                       bool count_hit, Deadline deadline) {
-  if (AdoptRemoteObject(home, conn, pending, id, loc, count_hit,
-                        deadline)) {
-    return true;
-  }
-  // Stale location: the dist layer invalidated its cache entry when the
-  // pin failed, so this lookup bypasses the cache and asks the peers
-  // again. One retry only — a second stale answer means the object is
-  // really gone.
-  auto retried =
-      BatchedRemoteLookup({id}, /*count_lookups=*/false, deadline);
-  auto it = retried.find(id);
-  if (it == retried.end()) return false;
-  return AdoptRemoteObject(home, conn, pending, id, it->second,
-                           /*count_hit=*/false, deadline);
 }
 
 std::unordered_map<ObjectId, RemoteObjectLocation>
@@ -1255,7 +1198,7 @@ void Store::ResolveGets(Shard& home, ClientConn& conn,
   // pipelining client that issued N Gets for remote objects pays one RPC
   // round instead of N. The shared lookup runs under the LOOSEST
   // deadline in the batch (any get still inside its budget keeps the
-  // RPC alive); each get's own pin below uses its own deadline.
+  // RPC alive).
   std::vector<ObjectId> unknown;
   Deadline batch_deadline = gets.front().op_deadline;
   for (const PendingGet& pending : gets) {
@@ -1289,10 +1232,9 @@ void Store::ResolveGets(Shard& home, ClientConn& conn,
     }
     for (const ObjectId& id : pending.missing) {
       auto it = resolved.find(id);
-      if (it != resolved.end() &&
-          AdoptRemoteObjectWithRetry(home, conn, pending, id, it->second,
-                                     /*count_hit=*/true,
-                                     pending.op_deadline)) {
+      if (it != resolved.end()) {
+        AdoptRemoteObject(home, conn, pending, id, it->second,
+                          /*count_hit=*/true);
         continue;
       }
       // Re-run the local pass: a later frame of the same batch (or a
@@ -1419,8 +1361,8 @@ int Store::FlushExpiredPendingGets(Shard& shard) {
         if (conn_it != shard.clients.end()) {
           // Final local retry. This mostly matters for the spill tier:
           // a restore that failed with kOutOfMemory while the pool was
-          // pinned solid (the object existed all along — Contains said
-          // so) may succeed now that pins have dropped during the wait.
+          // held solid by client refs (the object existed all along —
+          // Contains said so) may succeed now that refs have dropped.
           auto local = TryLocalGet(*conn_it->second, *id_it);
           if (local.has_value()) {
             pending.ready.emplace(*id_it, *local);
@@ -1429,14 +1371,12 @@ int Store::FlushExpiredPendingGets(Shard& shard) {
           }
         }
         auto hit = resolved.find(*id_it);
-        if (hit == resolved.end() || conn_it == shard.clients.end() ||
-            !AdoptRemoteObjectWithRetry(shard, *conn_it->second, pending,
-                                        *id_it, hit->second,
-                                        /*count_hit=*/false,
-                                        pending.op_deadline)) {
+        if (hit == resolved.end() || conn_it == shard.clients.end()) {
           ++id_it;
           continue;
         }
+        AdoptRemoteObject(shard, *conn_it->second, pending, *id_it,
+                          hit->second, /*count_hit=*/false);
         id_it = pending.waiting.erase(id_it);
       }
       ReplyPendingGet(shard, pending);
@@ -1458,10 +1398,14 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
     return;
   }
   ReleaseReply reply;
-  std::optional<RemoteObjectLocation> remote_unpin;
-
+  // Remote refs hold nothing at the home store, so they are consumed
+  // first: a client whose reissued descriptor came back as a local hit
+  // retires the stale remote ref and keeps the local pin it reads under.
+  auto remote_it = conn.remote_refs.find(request->id);
   auto local_it = conn.local_pins.find(request->id);
-  if (local_it != conn.local_pins.end()) {
+  if (remote_it != conn.remote_refs.end()) {
+    if (--remote_it->second == 0) conn.remote_refs.erase(remote_it);
+  } else if (local_it != conn.local_pins.end()) {
     Shard& owner = OwnerShard(request->id);
     {
       MutexLock lock(owner.mutex);
@@ -1472,31 +1416,8 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
       conn.local_pins.erase(local_it);
     }
   } else {
-    auto remote_it = conn.remote_refs.find(request->id);
-    if (remote_it != conn.remote_refs.end()) {
-      auto& ref = remote_it->second;
-      if (ref.mapped > 0) {
-        // Mapped descriptors hold no pin at the home store; nothing to
-        // send. Consumed before pinned refs so a client's transparent
-        // fallback (old mapped ref + fresh pinned ref on the same id)
-        // retires the descriptor and keeps the pin it still needs.
-        --ref.mapped;
-      } else if (ref.pinned > 0) {
-        --ref.pinned;
-        remote_unpin = ref.loc;
-      }
-      if (ref.mapped == 0 && ref.pinned == 0) {
-        conn.remote_refs.erase(remote_it);
-      }
-    } else {
-      reply.status = Status::KeyError("release: object " +
-                                      request->id.Hex() + " not held");
-    }
-  }
-  if (remote_unpin.has_value() && dist_hooks_ != nullptr &&
-      options_.pin_remote_objects) {
-    // mdos-check: allow-blocking(DistHooks peer RPC, deadline-bounded; making the unpin path async is tracked in ROADMAP)
-    dist_hooks_->UnpinRemote(request->id, *remote_unpin);
+    reply.status = Status::KeyError("release: object " +
+                                    request->id.Hex() + " not held");
   }
   QueueReply(home, conn, MessageType::kReleaseReply, request_id, reply);
 }
@@ -1536,40 +1457,32 @@ void Store::HandleDelete(Shard& home, ClientConn& conn,
   std::vector<uint32_t> replica_holders;
   {
     MutexLock lock(owner.mutex);
-    auto pins = owner.remote_pins.find(request->id);
-    if (pins != owner.remote_pins.end() && !pins->second.empty()) {
-      reply.status = Status::Invalid("delete: object " +
-                                     request->id.Hex() +
-                                     " is pinned by remote clients");
-    } else {
-      auto removed = owner.table.Remove(request->id);
-      reply.status = removed.status();
-      if (removed.ok()) {
-        if (shared_index_ != nullptr) {
-          MutexLock index_lock(index_mutex_);
-          // mdos-check: allow-discard(objects the index never admitted produce KeyError here; the withdrawal only has to hold for indexed ones)
-          (void)shared_index_->Remove(request->id);
+    auto removed = owner.table.Remove(request->id);
+    reply.status = removed.status();
+    if (removed.ok()) {
+      if (shared_index_ != nullptr) {
+        MutexLock index_lock(index_mutex_);
+        // mdos-check: allow-discard(objects the index never admitted produce KeyError here; the withdrawal only has to hold for indexed ones)
+        (void)shared_index_->Remove(request->id);
+      }
+      // Index withdrawal, then bump, then free (mapped-read seqlock
+      // write order — see AllocateWithEviction).
+      BumpGeneration(request->id);
+      if (removed->state == ObjectState::kSpilled) {
+        if (owner.spill.has_value()) {
+          MDOS_WARN_IF_ERROR(owner.spill->Free(removed->spill_offset),
+                             "freeing spill slot of deleted object");
+          MaybeCompactSpill(owner);
         }
-        // Index withdrawal, then bump, then free (mapped-read seqlock
-        // write order — see AllocateWithEviction).
-        BumpGeneration(request->id);
-        if (removed->state == ObjectState::kSpilled) {
-          if (owner.spill.has_value()) {
-            MDOS_WARN_IF_ERROR(owner.spill->Free(removed->spill_offset),
-                               "freeing spill slot of deleted object");
-            MaybeCompactSpill(owner);
-          }
-        } else {
-          MDOS_WARN_IF_ERROR(owner.arena->Free(removed->offset),
-                             "freeing pool bytes of deleted object");
-        }
-        owner.eviction.Remove(request->id);
-        owner.remote_pins.erase(request->id);
-        deleted = true;
-        if (removed->origin_node == node_id_) {
-          for (uint32_t holder : removed->copy_nodes) {
-            if (holder != node_id_) replica_holders.push_back(holder);
-          }
+      } else {
+        MDOS_WARN_IF_ERROR(owner.arena->Free(removed->offset),
+                           "freeing pool bytes of deleted object");
+      }
+      owner.eviction.Remove(request->id);
+      deleted = true;
+      if (removed->origin_node == node_id_) {
+        for (uint32_t holder : removed->copy_nodes) {
+          if (holder != node_id_) replica_holders.push_back(holder);
         }
       }
     }
@@ -1689,80 +1602,6 @@ bool Store::ContainsId(const ObjectId& id) {
   Shard& owner = OwnerShard(id);
   MutexLock lock(owner.mutex);
   return owner.table.Contains(id);
-}
-
-Status Store::PinForPeer(const ObjectId& id, uint32_t peer_node) {
-  Shard& owner = OwnerShard(id);
-  MutexLock lock(owner.mutex);
-  auto entry = owner.table.Lookup(id);
-  if (entry.ok() && entry->state == ObjectState::kSpilled) {
-    // A pin promises the peer stable pool residency; promote first.
-    entry = RestoreSpilled(owner, id);
-  }
-  if (!entry.ok() || entry->state != ObjectState::kSealed) {
-    return Status::KeyError("pin: object " + id.Hex() + " not sealed here");
-  }
-  ++owner.remote_pins[id][peer_node];
-  return Status::OK();
-}
-
-Status Store::UnpinForPeer(const ObjectId& id, uint32_t peer_node) {
-  Shard& owner = OwnerShard(id);
-  MutexLock lock(owner.mutex);
-  auto it = owner.remote_pins.find(id);
-  if (it == owner.remote_pins.end()) {
-    return Status::KeyError("unpin: object " + id.Hex() + " not pinned");
-  }
-  auto peer_it = it->second.find(peer_node);
-  if (peer_it == it->second.end()) {
-    return Status::KeyError("unpin: no pins from node " +
-                            std::to_string(peer_node));
-  }
-  if (--peer_it->second == 0) {
-    it->second.erase(peer_it);
-  }
-  if (it->second.empty()) {
-    owner.remote_pins.erase(it);
-  }
-  return Status::OK();
-}
-
-uint32_t Store::RemotePins(const ObjectId& id) {
-  Shard& owner = OwnerShard(id);
-  MutexLock lock(owner.mutex);
-  auto it = owner.remote_pins.find(id);
-  if (it == owner.remote_pins.end()) return 0;
-  uint32_t total = 0;
-  for (const auto& [node, count] : it->second) {
-    (void)node;
-    total += count;
-  }
-  return total;
-}
-
-uint64_t Store::ReleasePinsForPeer(uint32_t peer_node) {
-  uint64_t released = 0;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    for (auto it = shard->remote_pins.begin();
-         it != shard->remote_pins.end();) {
-      auto peer_it = it->second.find(peer_node);
-      if (peer_it != it->second.end()) {
-        released += peer_it->second;
-        it->second.erase(peer_it);
-      }
-      if (it->second.empty()) {
-        it = shard->remote_pins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (released > 0) {
-    MDOS_LOG_INFO << "store " << options_.name << ": released "
-                  << released << " pins held by dead peer " << peer_node;
-  }
-  return released;
 }
 
 // ---- k-way replication ------------------------------------------------------
@@ -1941,7 +1780,6 @@ Status Store::DropReplicaLocal(const ObjectId& id, uint32_t from_node) {
                          "freeing pool bytes of dropped replica");
     }
     owner.eviction.Remove(id);
-    owner.remote_pins.erase(id);
   }
   FanOutNotification(nullptr, notice);
   return Status::OK();

@@ -127,18 +127,15 @@ struct StoreOptions {
   std::string spill_dir;
   // Probe peers on Create so ids are unique system-wide (§IV-A2).
   bool check_global_uniqueness = true;
-  // Distributed object-usage sharing (paper future work, implemented):
-  // pin remote objects at their home store while local clients use them.
-  bool pin_remote_objects = true;
   // Mapped data plane (zero-RPC remote reads): serve remote sealed Gets
-  // as (node, region, offset, size, generation) descriptors instead of
-  // pinning at the home store. Clients copy the payload straight from
-  // the mapped region and re-check the generation; a mismatch (evicted /
-  // spilled / deleted mid-read) falls back to a pinned re-Get. Requires
-  // a generation table (SetGenerationTable) to take effect. Off by
-  // default: descriptor Gets hold no pin at the home store, which
-  // changes the eviction-protection contract the default mode provides.
-  bool mapped_remote_reads = false;
+  // as (node, region, offset, size, generation) descriptors. Clients copy
+  // the payload straight from the mapped region and re-check the
+  // generation; a mismatch (evicted / spilled / deleted mid-read) makes
+  // the client reissue the Get for a fresh descriptor. Takes effect for
+  // locations stamped by a home store with a generation table. Off
+  // reproduces the paper's plain lookup-then-load path: the location is
+  // handed out unvalidated, and nothing protects a read racing eviction.
+  bool mapped_remote_reads = true;
   // k-way replication: every sealed object is fanned out to
   // (replication_factor - 1) replica peers over the dist layer, and the
   // re-heal driver restores the copy count when a peer holding one dies.
@@ -160,7 +157,7 @@ struct RemoteObjectLocation {
   // Mapped data plane: the generation stamped on this descriptor and the
   // slot/region/epoch to validate it against (generation_table.h).
   // gen_region == UINT32_MAX means the home store published no
-  // generation table and the location supports only the RPC+pin path.
+  // generation table and the location is a plain, unvalidated one.
   uint64_t generation = 0;
   uint64_t gen_slot = 0;
   uint32_t gen_region = UINT32_MAX;
@@ -188,18 +185,6 @@ class DistHooks {
   // True when any peer store already knows `id` (uniqueness probe).
   [[nodiscard]] virtual bool IdKnownRemotely(const ObjectId& id,
                                              Deadline deadline) = 0;
-
-  // Usage-tracking extension: pin/unpin `id` at its home store. A failed
-  // pin means the location is no longer valid (the peer lost or dropped
-  // the object, or is unreachable); implementations invalidate any cached
-  // location so the caller can re-run the lookup path. Pin carries the
-  // operation deadline (it sits on the client's Get path); Unpin is
-  // cleanup and uses the implementation's own RPC bound.
-  virtual Status PinRemote(const ObjectId& id,
-                           const RemoteObjectLocation& loc,
-                           Deadline deadline) = 0;
-  virtual void UnpinRemote(const ObjectId& id,
-                           const RemoteObjectLocation& loc) = 0;
 
   // This store dropped `id`: forget any cached remote location for it.
   // Peers need no message — the delete bumped the generation table
@@ -271,14 +256,9 @@ class Store {
   // Stops every thread and closes all client connections. Idempotent.
   void Stop();
 
-  // Wiring (before Start): distributed hooks and the external-pin
-  // predicate consulted by eviction (distributed usage tracking). Both
-  // may be called from any shard thread concurrently and must be
-  // thread-safe.
+  // Wiring (before Start): distributed hooks. They may be called from
+  // any shard thread concurrently and must be thread-safe.
   void SetDistHooks(DistHooks* hooks) { dist_hooks_ = hooks; }
-  void SetExternalPinCheck(std::function<bool(const ObjectId&)> check) {
-    external_pin_check_ = std::move(check);
-  }
 
   // Shared-index extension (paper §V-B): when set, sealed objects are
   // published into `writer` (a table in disaggregated memory that remote
@@ -327,16 +307,6 @@ class Store {
   // True when the id exists in any state (uniqueness probe must also see
   // unsealed creations).
   [[nodiscard]] bool ContainsId(const ObjectId& id);
-
-  // Remote pin bookkeeping (usage-tracking extension).
-  Status PinForPeer(const ObjectId& id, uint32_t peer_node);
-  Status UnpinForPeer(const ObjectId& id, uint32_t peer_node);
-  // Remote pins held on a local object; 0 when none.
-  uint32_t RemotePins(const ObjectId& id);
-  // Drops every pin held by `peer_node` across all shards (the peer was
-  // declared dead — its pins must no longer block eviction). Returns the
-  // number of pins released.
-  uint64_t ReleasePinsForPeer(uint32_t peer_node);
 
   // ---- k-way replication (peer surface + re-heal driver) --------------
 
@@ -399,18 +369,10 @@ class Store {
     // Pins of local objects held through this connection: id -> count.
     // (The pinned ids may be owned by any shard.)
     std::unordered_map<ObjectId, uint32_t> local_pins;
-    // One remote object handed out through this connection. Pinned refs
-    // were adopted through the RPC+pin path and owe the home store one
-    // UnpinRemote each; mapped refs are unpinned descriptors (the mapped
-    // data plane) and owe nothing. Release consumes mapped refs first so
-    // a client's transparent fallback (mapped ref still open, pinned ref
-    // just adopted) retires the descriptor and keeps the pin.
-    struct RemoteRef {
-      RemoteObjectLocation loc;
-      uint32_t pinned = 0;
-      uint32_t mapped = 0;
-    };
-    std::unordered_map<ObjectId, RemoteRef> remote_refs;
+    // Remote objects handed out through this connection: id -> count.
+    // They hold nothing at the home store; the count only lets Release
+    // tell a held remote id from one never handed out.
+    std::unordered_map<ObjectId, uint32_t> remote_refs;
   };
 
   // A Get waiting for objects to be sealed (or for its deadline).
@@ -426,17 +388,10 @@ class Store {
     uint64_t timeout_ms = 0;
     int64_t deadline_ns = 0;
     // The client's end-to-end budget for this Get (wire header). Bounds
-    // every downstream RPC (lookup, pin) issued on its behalf; distinct
-    // from timeout_ms, which is the park-for-seal wait the client asked
-    // for. Infinite when the client carried no deadline.
+    // the remote lookup issued on its behalf; distinct from timeout_ms,
+    // which is the park-for-seal wait the client asked for. Infinite when
+    // the client carried no deadline.
     Deadline op_deadline;
-    // Client requested the RPC+pin path even when the mapped data plane
-    // is on (GetRequest::pinned) — the bottom rung of the fallback
-    // ladder, and the baseline mode for benchmarks.
-    bool pinned = false;
-    // This Get is a client's transparent refetch after a generation
-    // mismatch (GetRequest::fallback); counted as a mapped fallback.
-    bool fallback = false;
   };
 
   // One event-loop shard: owner of a hash slice of the object space and
@@ -457,9 +412,6 @@ class Store {
     EvictionPolicy eviction GUARDED_BY(mutex);
     // Borrowed from pool_alloc_.
     alloc::Allocator* arena GUARDED_BY(mutex) = nullptr;
-    // id -> (peer node -> pin count).
-    std::unordered_map<ObjectId, std::unordered_map<uint32_t, uint32_t>>
-        remote_pins GUARDED_BY(mutex);
     uint64_t eviction_count GUARDED_BY(mutex) = 0;
     // Disk spill tier (engaged when StoreOptions::spill_dir is set): the
     // shard's segment file plus cumulative spill/restore counters.
@@ -633,27 +585,16 @@ class Store {
   std::unordered_map<ObjectId, RemoteObjectLocation> BatchedRemoteLookup(
       const std::vector<ObjectId>& ids, bool count_lookups,
       Deadline deadline);
-  // Applies one resolved remote location to a pending get (reply entry,
-  // remote pin or mapped descriptor, per-connection ref bookkeeping).
-  // `home` is the Get-serving shard (mapped-read counters accumulate
-  // there). `count_hit` must match whether the look-up that produced
-  // `loc` was counted in stats. With the mapped data plane on and a
-  // generation-stamped location (and the get not forced pinned), the
-  // object is handed out as an unpinned descriptor — no PinRemote RPC.
-  // Returns false when the remote pin failed — the location was stale
-  // (the dist layer has already invalidated its cache entry) and the
-  // caller should re-run the lookup path for this id.
-  [[nodiscard]] bool AdoptRemoteObject(Shard& home, ClientConn& conn,
-                         PendingGet& pending, const ObjectId& id,
-                         const RemoteObjectLocation& loc, bool count_hit,
-                         Deadline deadline);
-  // AdoptRemoteObject with one retry through a fresh remote lookup when
-  // the cached location turned out stale. Returns false when the id
-  // could not be adopted at all (treat as missing).
-  [[nodiscard]] bool AdoptRemoteObjectWithRetry(Shard& home, ClientConn& conn,
-                                  PendingGet& pending, const ObjectId& id,
-                                  const RemoteObjectLocation& loc,
-                                  bool count_hit, Deadline deadline);
+  // Applies one resolved remote location to a pending get (reply entry
+  // and per-connection ref count). `home` is the Get-serving shard
+  // (mapped-read counters accumulate there). `count_hit` must match
+  // whether the look-up that produced `loc` was counted in stats. With
+  // the mapped data plane on and a generation-stamped location, the
+  // object goes out as a validated descriptor; otherwise as the paper's
+  // plain lookup-then-load location. Never blocks and never fails.
+  void AdoptRemoteObject(Shard& home, ClientConn& conn, PendingGet& pending,
+                         const ObjectId& id, const RemoteObjectLocation& loc,
+                         bool count_hit);
 
   // Allocates space from the owner shard's arena, evicting its LRU
   // unpinned objects if needed — to the shard's spill file when the
@@ -715,7 +656,6 @@ class Store {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   DistHooks* dist_hooks_ = nullptr;
-  std::function<bool(const ObjectId&)> external_pin_check_;
   // Shared-index writer; serialized across shards by index_mutex_. The
   // lock order (shard mutex first, index mutex second) is declared on
   // Shard::mutex via ACQUIRED_BEFORE. The pointer itself is written

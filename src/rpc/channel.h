@@ -16,7 +16,8 @@
 // channel permanently.
 //
 // `simulated_rtt_ns` injects additional latency per call so loopback TCP
-// can model a data-centre LAN round trip (see DESIGN.md §6 calibration);
+// can model a data-centre LAN round trip (see docs/benchmarks.md, "Scaling
+// caveats": simulated RTT);
 // it is applied client-side, half before sending and half after receiving.
 #pragma once
 

@@ -62,6 +62,10 @@ class AttachedRegion {
   // Escape hatch for zero-copy consumers that understand the model; the
   // pointer addresses home memory directly with no latency enforcement.
   const uint8_t* unsafe_data() const { return base_; }
+  // Fault check for loads made through unsafe_data(): consults the fault
+  // injector as a remote access of `size` bytes would, so a cut fabric
+  // link fails those loads too (Unavailable).
+  Status CheckLink(uint64_t size) const { return ConsultInjector(size); }
 
   const LatencyParams& latency() const { return latency_; }
   RegionCounters counters() const;

@@ -5,7 +5,8 @@
 // hardware: a node attaching its *own* region gets local-DRAM timing; a
 // node attaching a *remote* region gets fabric timing and the coherency
 // behaviour documented in AttachedRegion. The fabric is the unit of
-// configuration for latency calibration (see DESIGN.md §6) and collects
+// configuration for latency calibration (see docs/benchmarks.md, "Scaling
+// caveats") and collects
 // global traffic counters split by local/remote.
 #pragma once
 

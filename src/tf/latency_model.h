@@ -30,7 +30,8 @@ struct LatencyParams {
   int64_t AccessNanos(uint64_t bytes) const;
 };
 
-// Defaults calibrated against the paper (see DESIGN.md §6).
+// Defaults calibrated against the paper (see docs/architecture.md, "The
+// fabric", and docs/benchmarks.md, "Scaling caveats": calibration scale).
 LatencyParams LocalDramParams();    // ~6.5 GiB/s, ~90 ns
 LatencyParams RemoteFabricParams(); // ~5.75 GiB/s, ~2.5 µs
 

@@ -1,10 +1,9 @@
 // Unit tests for both allocators (first-fit ordered-map and dlmalloc-style
-// segregated-fit) plus the bump arena.
+// segregated-fit).
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "alloc/arena.h"
 #include "alloc/first_fit_allocator.h"
 #include "alloc/segregated_fit_allocator.h"
 
@@ -217,38 +216,6 @@ TEST(SegregatedFitTest, SmallBinsAreExactClasses) {
             SegregatedFitAllocator::BinIndex(31));
   EXPECT_NE(SegregatedFitAllocator::BinIndex(16),
             SegregatedFitAllocator::BinIndex(32));
-}
-
-TEST(ArenaTest, BumpAllocatesSequentially) {
-  std::vector<uint8_t> backing(1024);
-  Arena arena(backing.data(), backing.size());
-  uint8_t* p1 = arena.Allocate(100, 8);
-  uint8_t* p2 = arena.Allocate(100, 8);
-  ASSERT_NE(p1, nullptr);
-  ASSERT_NE(p2, nullptr);
-  EXPECT_GE(p2, p1 + 100);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p1) % 8, 0u);
-}
-
-TEST(ArenaTest, ExhaustionReturnsNull) {
-  std::vector<uint8_t> backing(128);
-  Arena arena(backing.data(), backing.size());
-  EXPECT_NE(arena.Allocate(128), nullptr);
-  EXPECT_EQ(arena.Allocate(1), nullptr);
-}
-
-TEST(ArenaTest, ResetReclaimsEverything) {
-  std::vector<uint8_t> backing(128);
-  Arena arena(backing.data(), backing.size());
-  EXPECT_NE(arena.Allocate(128), nullptr);
-  arena.Reset();
-  EXPECT_NE(arena.Allocate(128), nullptr);
-}
-
-TEST(ArenaTest, BadAlignmentReturnsNull) {
-  std::vector<uint8_t> backing(128);
-  Arena arena(backing.data(), backing.size());
-  EXPECT_EQ(arena.Allocate(8, 3), nullptr);
 }
 
 }  // namespace

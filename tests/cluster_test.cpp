@@ -214,18 +214,37 @@ TEST(ClusterTest, RemoteReadSlowerUnderCalibratedModel) {
   EXPECT_GE(local_ns, 25 * 1000 * 1000);
 }
 
-TEST(ClusterTest, StopReleasesRemotePinsCleanly) {
-  auto cluster = Cluster::CreateTwoNode(SmallNode(), FastFabric());
-  ASSERT_TRUE(cluster.ok());
-  auto producer = (*cluster)->node(0)->CreateClient();
-  auto consumer = (*cluster)->node(1)->CreateClient();
+// Default options serve remote Gets on the mapped data plane: the Get
+// comes back as a generation-validated descriptor, counted once by the
+// consumer's store, and no pin RPC exists to cross the LAN.
+TEST(ClusterTest, DefaultOptionsServeRemoteGetAsValidatedDescriptor) {
+  NodeOptions options;
+  options.pool_size = 8 << 20;
+  auto cluster = Cluster::CreateTwoNode(options, FastFabric());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto producer = (*cluster)->node(0)->CreateClient("producer");
+  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
   ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("shutdown-pin");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "x").ok());
-  ASSERT_TRUE((*consumer)->Get(id, 1000).ok());
-  EXPECT_EQ((*cluster)->node(0)->store().RemotePins(id), 1u);
-  // Stop() must release the pin before teardown (no leaked pins).
-  (*cluster)->Stop();
+
+  const ObjectId id = ObjectId::FromName("default-descriptor");
+  std::string payload(64 << 10, '\0');
+  SplitMix64(5).Fill(payload.data(), payload.size());
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
+
+  const uint64_t mapped_before =
+      (*cluster)->node(1)->store().stats().mapped_reads;
+  auto buffer = (*consumer)->Get(id, 1000);
+  ASSERT_TRUE(buffer.ok()) << buffer.status();
+  EXPECT_TRUE(buffer->is_remote());
+  EXPECT_TRUE(buffer->is_mapped());
+  auto crc = buffer->ChecksumData();
+  ASSERT_TRUE(crc.ok()) << crc.status();
+  EXPECT_EQ(*crc, Crc32(payload));
+  ASSERT_TRUE((*consumer)->Release(id).ok());
+
+  EXPECT_EQ((*cluster)->node(1)->store().stats().mapped_reads,
+            mapped_before + 1);
+  EXPECT_EQ((*cluster)->node(1)->registry().stats().pin_rpcs, 0u);
 }
 
 // A peer's lookup cache holds the descriptor of the first incarnation
@@ -233,10 +252,10 @@ TEST(ClusterTest, StopReleasesRemotePinsCleanly) {
 // home tells no peer; the seal of the new incarnation bumped the id's
 // slot in the home's generation table, so the cached descriptor fails
 // validation and the peer's next Get reads the new bytes. Run on both
-// remote read paths: pinned RPC and mapped descriptors.
+// remote read paths: the paper's lookup-then-load and mapped descriptors.
 TEST(ClusterTest, CachedLocationFollowsDeleteAndRecreate) {
   for (bool mapped : {false, true}) {
-    SCOPED_TRACE(mapped ? "mapped reads" : "pinned reads");
+    SCOPED_TRACE(mapped ? "mapped reads" : "lookup-then-load reads");
     NodeOptions options = SmallNode();
     options.mapped_remote_reads = mapped;
     auto cluster = Cluster::CreateTwoNode(options, FastFabric());
@@ -275,9 +294,8 @@ TEST(ClusterTest, CachedLocationFollowsDeleteAndRecreate) {
     ASSERT_TRUE((*consumer)->Release(id).ok());
 
     // The generation check caught the old descriptor before it reached
-    // the client: no failed pin, no mapped-read fallback.
+    // the client: no mapped-read fallback.
     EXPECT_GE(registry.stats().generation_retries, 1u);
-    EXPECT_EQ(registry.stats().stale_pins_detected, 0u);
     EXPECT_EQ((*cluster)->node(1)->store().stats().mapped_fallbacks, 0u);
   }
 }
@@ -288,7 +306,7 @@ TEST(ClusterTest, CachedLocationFollowsDeleteAndRecreate) {
 // original bytes, CRC-exact. Run on both remote read paths.
 TEST(ClusterTest, CachedLocationFollowsSpillAndRestore) {
   for (bool mapped : {false, true}) {
-    SCOPED_TRACE(mapped ? "mapped reads" : "pinned reads");
+    SCOPED_TRACE(mapped ? "mapped reads" : "lookup-then-load reads");
     const std::string spill_dir = "/tmp/mdos-cluster-cache-spill-" +
                                   std::to_string(::getpid());
     NodeOptions options = SmallNode();
@@ -334,7 +352,6 @@ TEST(ClusterTest, CachedLocationFollowsSpillAndRestore) {
 
       EXPECT_GE((*cluster)->node(0)->store().stats().spill_restores, 1u);
       EXPECT_GE(registry.stats().generation_retries, 1u);
-      EXPECT_EQ(registry.stats().stale_pins_detected, 0u);
       EXPECT_EQ((*cluster)->node(1)->store().stats().mapped_fallbacks, 0u);
     }
     std::filesystem::remove_all(spill_dir);

@@ -16,6 +16,7 @@
 #include "common/clock.h"
 #include "common/deadline.h"
 #include "common/status.h"
+#include "dist/messages.h"
 #include "dist/remote_registry.h"
 #include "net/fault_injector.h"
 #include "plasma/client.h"
@@ -176,40 +177,56 @@ class DeadlineHopTest : public ::testing::Test {
   std::string payload_;
 };
 
-TEST_F(DeadlineHopTest, BudgetDecrementsAcrossLookupThenPin) {
+TEST_F(DeadlineHopTest, BudgetDecrementsAcrossLookupThenLookup) {
   net::FaultInjector injector(/*seed=*/11);
   auto registry = MakeObserver(&injector, /*hedged=*/false, 100);
+  // A raw channel on the observer's link to node0: the registry folds a
+  // failed hop into "not found", the channel shows its typed status.
+  auto channel =
+      rpc::RpcChannel::Connect("127.0.0.1", cluster_->node(0)->rpc_port());
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  (*channel)->SetFaultInjector(&injector, 99, NodeId(0));
 
-  // 300 ms of injected latency on the path to node0 — both peers stay
-  // reachable, just slow.
+  // 300 ms of injected latency on the paths to both nodes — both peers
+  // stay reachable, just slow.
   net::LinkFault slow;
   slow.latency_ns = 300'000'000;
   injector.SetFault(99, NodeId(0), slow);
   injector.SetFault(99, NodeId(1), slow);
 
-  // Hop 1 (lookup) eats ~300 ms of the 500 ms budget; hop 2 (pin) gets
-  // the decremented remainder (~200 ms), which the 300 ms link latency
-  // exceeds — so the pin MUST fail with DeadlineExceeded even though
-  // the link is alive and a fresh budget succeeds (checked after).
+  // Hop 1 (lookup) eats ~300 ms of the 500 ms budget; hop 2 (a second
+  // lookup) gets the decremented remainder (~200 ms), which the 300 ms
+  // link latency exceeds — so it MUST fail with DeadlineExceeded even
+  // though the link is alive and a fresh budget succeeds (checked
+  // after).
   const Deadline op = Deadline::AfterMs(500);
   Stopwatch sw;
   auto located = registry->LookupRemote({id_}, op);
   ASSERT_EQ(located.size(), 1u);
   ASSERT_TRUE(located[0].has_value()) << "lookup should fit the budget";
-  Status pinned = registry->PinRemote(id_, *located[0], op);
-  EXPECT_EQ(pinned.code(), StatusCode::kDeadlineExceeded)
-      << "pin ran on the already-spent budget: " << pinned;
+  dist::LookupRequest request;
+  request.ids = {id_};
+  auto second = (*channel)->CallTypedDeadline<dist::LookupReply>(
+      dist::kMethodLookup, request, op);
+  EXPECT_EQ(second.status().code(), StatusCode::kDeadlineExceeded)
+      << "second lookup ran on the already-spent budget: "
+      << second.status();
+  // The registry refuses to start a hop on the spent budget, and counts
+  // it.
+  EXPECT_FALSE(registry->LookupRemote({id_}, op)[0].has_value());
   // Typed failure within (roughly) the budget — not a hang.
   EXPECT_LT(sw.ElapsedMillis(), 500 + 3000);
   EXPECT_GE(registry->stats().deadline_exhausted, 1u);
 
   // Same hop, fresh budget: the link latency alone was never the
   // problem.
-  Status repinned =
-      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000));
-  EXPECT_TRUE(repinned.ok()) << repinned;
-  registry->UnpinRemote(id_, *located[0]);
-  EXPECT_EQ(registry->usage().total_pins(), 0u);
+  auto fresh = (*channel)->CallTypedDeadline<dist::LookupReply>(
+      dist::kMethodLookup, request, Deadline::AfterMs(10'000));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ(fresh->entries.size(), 1u);
+  EXPECT_TRUE(fresh->entries[0].found);
+  EXPECT_TRUE(
+      registry->LookupRemote({id_}, Deadline::AfterMs(10'000))[0].has_value());
 }
 
 TEST_F(DeadlineHopTest, HedgedLookupWinsUnderSlowPrimary) {
@@ -236,13 +253,8 @@ TEST_F(DeadlineHopTest, HedgedLookupWinsUnderSlowPrimary) {
   EXPECT_EQ(stats.hedged_reads, 1u);
   EXPECT_EQ(stats.hedge_wins, 1u);
 
-  // The hedged descriptor is a normal location: pin, then release, and
-  // nothing double-consumes — the pin count returns to zero.
-  Status pinned =
-      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000));
-  ASSERT_TRUE(pinned.ok()) << pinned;
-  registry->UnpinRemote(id_, *located[0]);
-  EXPECT_EQ(registry->usage().total_pins(), 0u);
+  // The hedged descriptor is a normal generation-stamped location.
+  EXPECT_NE(located[0]->gen_region, UINT32_MAX);
 }
 
 TEST_F(DeadlineHopTest, NoHedgeWhenPrimaryAnswersInTime) {

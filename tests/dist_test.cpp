@@ -1,6 +1,6 @@
 // Tests for the store↔store distributed layer: the RPC service surface,
 // the peer registry (DistHooks implementation), id uniqueness probes,
-// remote pins, and generation-validated lookup caching. Uses two
+// and generation-validated lookup caching. Uses two
 // fabric-backed stores wired manually (the cluster layer is tested in
 // cluster_test.cpp).
 #include <gtest/gtest.h>
@@ -179,26 +179,6 @@ TEST_F(DistTest, RemoteGetReadsThroughFabric) {
   EXPECT_TRUE((*consumer)->Release(id).ok());
 }
 
-TEST_F(DistTest, RemotePinBlocksEvictionAtHome) {
-  Mesh();
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("pin-remote");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "pinned-data").ok());
-
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  EXPECT_EQ(stores_[1]->RemotePins(id), 1u);
-
-  // The home store refuses to delete while remotely pinned.
-  EXPECT_FALSE((*producer)->Delete(id).ok());
-
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
-  EXPECT_TRUE((*producer)->Delete(id).ok());
-}
-
 TEST_F(DistTest, LookupCacheHitsOnRepeatedGets) {
   Mesh();
   auto producer = Client(1);
@@ -282,39 +262,6 @@ TEST_F(DistTest, UnreachablePeerDegradesToNotFound) {
   ASSERT_EQ(locations.size(), 1u);
   EXPECT_FALSE(locations[0].has_value());
   EXPECT_GT(registries_[0]->stats().failed_rpcs, 0u);
-}
-
-TEST_F(DistTest, UsageTrackerBalancedAfterReleaseAll) {
-  Mesh();
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  for (int i = 0; i < 3; ++i) {
-    ObjectId id = ObjectId::FromName("bulk" + std::to_string(i));
-    ASSERT_TRUE((*producer)->CreateAndSeal(id, "x").ok());
-    ASSERT_TRUE((*consumer)->Get(id, 1000).ok());
-  }
-  EXPECT_EQ(registries_[0]->usage().total_pins(), 3u);
-  registries_[0]->ReleaseAllPins();
-  EXPECT_EQ(registries_[0]->usage().total_pins(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    ObjectId id = ObjectId::FromName("bulk" + std::to_string(i));
-    EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
-  }
-}
-
-TEST_F(DistTest, PinForPeerRequiresSealedObject) {
-  EXPECT_EQ(
-      stores_[0]->PinForPeer(ObjectId::FromName("ghost"), 1).code(),
-      StatusCode::kKeyError);
-}
-
-TEST_F(DistTest, UnpinWithoutPinIsKeyError) {
-  auto producer = Client(0);
-  ASSERT_TRUE(producer.ok());
-  ObjectId id = ObjectId::FromName("nopin");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "x").ok());
-  EXPECT_EQ(stores_[0]->UnpinForPeer(id, 1).code(), StatusCode::kKeyError);
 }
 
 }  // namespace

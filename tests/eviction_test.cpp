@@ -174,11 +174,11 @@ TEST(EvictionTest, EvictWhileMappedIsRefused) {
 }
 
 // Mapped data plane vs destructive eviction: a mapped remote descriptor
-// holds NO pin at the home store (that is the point of the zero-RPC
+// holds NOTHING at the home store (that is the point of the zero-RPC
 // plane), so the home store is free to evict the object and recycle its
 // bytes while the remote reader still holds the descriptor. The read
 // must detect this through the generation re-check and error out via
-// the pinned fallback — it must NEVER return the recycled bytes.
+// the reissued Get — it must NEVER return the recycled bytes.
 TEST(EvictionTest, MappedRemoteReadRacingDestructiveEvictionErrors) {
   tf::FabricConfig config;
   config.local = tf::LatencyParams{0, 0.0};
@@ -198,14 +198,13 @@ TEST(EvictionTest, MappedRemoteReadRacingDestructiveEvictionErrors) {
   SplitMix64(7).Fill(payload.data(), payload.size());
   ASSERT_TRUE((*producer)->CreateAndSeal(victim, payload).ok());
 
-  // The consumer's Get resolves to an unpinned, generation-stamped
-  // descriptor.
+  // The consumer's Get resolves to a generation-stamped descriptor.
   auto buffer = (*consumer)->Get(victim, /*timeout_ms=*/0);
   ASSERT_TRUE(buffer.ok()) << buffer.status();
   ASSERT_TRUE(buffer->is_mapped());
 
   // Two filler creates at the home store: the pool holds two slots, so
-  // the second evicts the (unpinned) victim destructively — no spill
+  // the second evicts the (unreferenced) victim destructively — no spill
   // tier — and immediately recycles its bytes for the filler payload.
   std::string filler(1 << 20, 'F');
   ASSERT_TRUE(
@@ -217,11 +216,13 @@ TEST(EvictionTest, MappedRemoteReadRacingDestructiveEvictionErrors) {
   ASSERT_FALSE(*contains) << "victim must have been evicted";
 
   // The copy sees the filler's bytes, the generation re-check flags the
-  // overlap, and the pinned fallback finds the object gone: the read
-  // errors — deterministically — instead of handing back torn data.
+  // overlap, and the reissued Get finds the object gone: the read
+  // errors — deterministically, with KeyError — instead of handing back
+  // torn data.
   auto crc = buffer->ChecksumData();
   EXPECT_FALSE(crc.ok())
       << "read of a destroyed mapped object returned data";
+  EXPECT_EQ(crc.status().code(), StatusCode::kKeyError) << crc.status();
 
   // The store accounted the attempted fallback.
   auto stats = (*consumer)->Stats();

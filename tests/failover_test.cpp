@@ -151,10 +151,6 @@ class FailoverDistTest : public ::testing::Test {
       registries_[i] = std::make_unique<dist::RemoteStoreRegistry>(
           layouts_[i].node, registry_options);
       stores_[i]->SetDistHooks(registries_[i].get());
-      plasma::Store* raw_store = stores_[i].get();
-      registries_[i]->SetPeerDeathHandler([raw_store](uint32_t dead) {
-        (void)raw_store->ReleasePinsForPeer(dead);
-      });
 
       services_[i] = std::make_unique<dist::StoreService>(stores_[i].get());
       services_[i]->RegisterWith(servers_[i]);
@@ -224,39 +220,7 @@ TEST_F(FailoverDistTest, FailureStreakMarksPeerDeadAndSkipsIt) {
   EXPECT_EQ(registries_[0]->stats().lookup_rpcs, rpcs_before);
 }
 
-TEST_F(FailoverDistTest, DeadPeerReleasesItsPinsOnSurvivor) {
-  Init(FastFailureOptions());
-  // Mesh both directions: node 1's clients pin on node 0; node 0 watches
-  // node 1's health.
-  ASSERT_TRUE(
-      registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
-  ASSERT_TRUE(
-      registries_[1]->AddPeer("127.0.0.1", servers_[0].port()).ok());
-
-  auto producer = Client(0);
-  auto consumer = Client(1);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("pinned-by-doomed-peer");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "payload").ok());
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  EXPECT_EQ(stores_[0]->RemotePins(id), 1u);
-  // Remote pin blocks delete (eviction contract).
-  EXPECT_FALSE((*producer)->Delete(id).ok());
-
-  // Node 1 "crashes" (its RPC endpoint dies; it never unpins).
-  servers_[1].Stop();
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p1"));
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p2"));
-  EXPECT_EQ(registries_[0]->peer_state(stores_[1]->node_id()),
-            dist::PeerState::kDead);
-
-  // Death released the corpse's pins: the object is deletable again.
-  EXPECT_EQ(stores_[0]->RemotePins(id), 0u);
-  EXPECT_TRUE((*producer)->Delete(id).ok());
-}
-
-TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
+TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedByGenerationCheck) {
   Init(FastFailureOptions());
   // One-way mesh: node 0 sees node 1, but node 1 has no peers — the
   // home tells nobody about the delete below.
@@ -287,13 +251,14 @@ TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
   EXPECT_GE(registries_[0]->stats().generation_retries, 1u);
 
-  // The pin is the second guard: a stale location that reaches it (the
-  // object was deleted after the check) fails the pin, and the failed
-  // pin drops the cache entry too.
+  // The check holds however the stale entry got there: planted back in
+  // the cache, it is caught again on the next lookup, dropped, and
+  // counted — never served.
   registries_[0]->lookup_cache()->Put(id, *stale);
-  EXPECT_FALSE(registries_[0]->PinRemote(id, *stale).ok());
+  const uint64_t retries = registries_[0]->stats().generation_retries;
+  EXPECT_FALSE(registries_[0]->LookupRemote({id})[0].has_value());
   EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
-  EXPECT_GE(registries_[0]->stats().stale_pins_detected, 1u);
+  EXPECT_EQ(registries_[0]->stats().generation_retries, retries + 1);
 
   // After the producer re-creates the object, the fresh lookup path
   // serves the new bytes.
@@ -303,37 +268,6 @@ TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
   auto data = again->CopyData();
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(std::string(data->begin(), data->end()), "recreated-data");
-}
-
-TEST_F(FailoverDistTest, FailedUnpinReRecordsThePin) {
-  Init(FastFailureOptions());
-  ASSERT_TRUE(
-      registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
-
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("leaky-unpin");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "x").ok());
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  EXPECT_EQ(registries_[0]->usage().total_pins(), 1u);
-
-  // The unpin RPC cannot reach the (suspect, not yet dead) peer: the pin
-  // must stay recorded so a later release can retry, instead of leaking
-  // the remote pin with no record of it.
-  servers_[1].Stop();
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(registries_[0]->usage().total_pins(), 1u);
-  EXPECT_EQ(registries_[0]->peer_state(stores_[1]->node_id()),
-            dist::PeerState::kSuspect);
-
-  // Endpoint comes back: the retried release goes through and the pin on
-  // the home store drains to zero.
-  ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
-  registries_[0]->ReleaseAllPins();
-  EXPECT_EQ(registries_[0]->usage().total_pins(), 0u);
-  EXPECT_TRUE(WaitUntil([&] { return stores_[1]->RemotePins(id) == 0; }));
 }
 
 TEST_F(FailoverDistTest, HeartbeatDetectsDeathAndRecovery) {
@@ -407,7 +341,7 @@ cluster::NodeOptions FailoverNode() {
   return testutil::FailoverNodeOptions();
 }
 
-TEST(ClusterFailoverTest, KillReleasesPinsFailsFastAndRestartRemeshes) {
+TEST(ClusterFailoverTest, KillFailsFastAndRestartRemeshes) {
   auto cluster =
       cluster::Cluster::CreateTwoNode(FailoverNode(), FastFabric());
   ASSERT_TRUE(cluster.ok()) << cluster.status();
@@ -418,31 +352,28 @@ TEST(ClusterFailoverTest, KillReleasesPinsFailsFastAndRestartRemeshes) {
   auto producer = node0->CreateClient("producer");
   ASSERT_TRUE(producer.ok());
   ObjectId survivor_obj = ObjectId::FromName("survivor-obj");
-  ObjectId pinned_obj = ObjectId::FromName("pinned-obj");
+  ObjectId held_obj = ObjectId::FromName("held-obj");
   ASSERT_TRUE((*producer)->CreateAndSeal(survivor_obj, "stays").ok());
-  ASSERT_TRUE((*producer)->CreateAndSeal(pinned_obj, "pin-me").ok());
+  ASSERT_TRUE((*producer)->CreateAndSeal(held_obj, "hold-me").ok());
 
-  // A client on node 1 reads node 0's object and holds the reference —
-  // the pin on node 0 will outlive the client's node.
+  // A client on node 1 reads node 0's object and holds the reference
+  // while its node crashes: no release, no goodbye.
   {
     auto consumer = node1->CreateClient("doomed-consumer");
     ASSERT_TRUE(consumer.ok());
-    auto buffer = (*consumer)->Get(pinned_obj, 2000);
+    auto buffer = (*consumer)->Get(held_obj, 2000);
     ASSERT_TRUE(buffer.ok());
-    EXPECT_EQ(node0->store().RemotePins(pinned_obj), 1u);
-
-    // Crash node 1 with the pin held: no unpin, no goodbye.
+    EXPECT_TRUE(buffer->is_mapped());
     ASSERT_TRUE((*cluster)->KillNode(1).ok());
   }
 
-  // Node 0's heartbeat walks node 1 to dead and releases its pins.
+  // Node 0's heartbeat walks node 1 to dead.
   ASSERT_TRUE(WaitUntil([&] {
     return node0->registry().peer_state(id1) == dist::PeerState::kDead;
   }));
-  EXPECT_TRUE(WaitUntil(
-      [&] { return node0->store().RemotePins(pinned_obj) == 0; }));
-  // Its pinned object is deletable (= evictable) again.
-  EXPECT_TRUE((*producer)->Delete(pinned_obj).ok());
+  // The corpse's reference held nothing at the home: the object stays
+  // deletable (= evictable).
+  EXPECT_TRUE((*producer)->Delete(held_obj).ok());
 
   // Gets for unknown ids fail fast: the dead peer is skipped, no
   // per-call rpc_timeout_ms (2 s) stall.

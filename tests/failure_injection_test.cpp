@@ -175,16 +175,6 @@ TEST_F(StoreFailureTest, MidWriteDisconnectFreesSpace) {
   EXPECT_EQ(stats_after.bytes_in_use, stats_before.bytes_in_use);
 }
 
-TEST(DistFailureTest, PinAgainstDeadPeerIsHarmless) {
-  dist::RemoteStoreRegistry registry(/*self_node=*/7);
-  plasma::RemoteObjectLocation loc;
-  loc.home_node = 99;  // no such peer
-  Status pinned = registry.PinRemote(ObjectId::FromName("x"), loc);
-  EXPECT_EQ(pinned.code(), StatusCode::kUnavailable);
-  registry.UnpinRemote(ObjectId::FromName("x"), loc);
-  EXPECT_EQ(registry.usage().total_pins(), 0u);
-}
-
 TEST(DistFailureTest, AddPeerToClosedPortFails) {
   dist::RemoteStoreRegistry registry(/*self_node=*/7);
   EXPECT_FALSE(registry.AddPeer("127.0.0.1", 1).ok());

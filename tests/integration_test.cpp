@@ -128,36 +128,6 @@ TEST(IntegrationTest, CrossCreateSameIdOnlyOneWins) {
   EXPECT_EQ(std::string(data->begin(), data->end()), "winner");
 }
 
-TEST(IntegrationTest, EvictionNeverEvictsRemotelyPinnedObjects) {
-  auto cluster = cluster::Cluster::CreateTwoNode(SmallNode(8 << 20),
-                                                 FastFabric());
-  ASSERT_TRUE(cluster.ok());
-  auto producer = (*cluster)->node(0)->CreateClient();
-  auto remote = (*cluster)->node(1)->CreateClient();
-  ASSERT_TRUE(producer.ok() && remote.ok());
-
-  // Remote client pins one early object.
-  ObjectId pinned = ObjectId::FromName("remote-pinned");
-  std::string big(1 << 20, 'P');
-  ASSERT_TRUE((*producer)->CreateAndSeal(pinned, big).ok());
-  auto pinned_buffer = (*remote)->Get(pinned, 1000);
-  ASSERT_TRUE(pinned_buffer.ok());
-
-  // Flood node 0 until eviction kicks in.
-  for (int i = 0; i < 16; ++i) {
-    ObjectId id = ObjectId::FromName("flood" + std::to_string(i));
-    ASSERT_TRUE((*producer)->CreateAndSeal(id, big).ok()) << i;
-  }
-  auto stats = (*cluster)->node(0)->store().stats();
-  EXPECT_GT(stats.evictions, 0u);
-
-  // The remotely pinned object survived and its bytes are intact.
-  auto crc = pinned_buffer->ChecksumData();
-  ASSERT_TRUE(crc.ok());
-  EXPECT_EQ(*crc, Crc32(big));
-  ASSERT_TRUE((*remote)->Release(pinned).ok());
-}
-
 TEST(IntegrationTest, WideDependencyFanInAggregation) {
   // The paper motivates wide-dependency operations: several nodes each
   // publish a partition; one node aggregates them all.

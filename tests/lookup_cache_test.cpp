@@ -1,11 +1,10 @@
-// Unit tests for the remote-lookup cache and the usage tracker (the two
-// §V-B future-work extensions' bookkeeping pieces).
+// Unit tests for the remote-lookup cache (the §V-B "caching the look-up
+// results" extension).
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "dist/lookup_cache.h"
-#include "dist/usage_tracker.h"
 
 namespace mdos::dist {
 namespace {
@@ -142,56 +141,6 @@ TEST(LookupCacheTest, ThreadSafeUnderContention) {
   for (auto& thread : threads) thread.join();
   auto stats = cache.stats();
   EXPECT_GT(stats.insertions, 0u);
-}
-
-TEST(UsageTrackerTest, PinUnpinBalance) {
-  UsageTracker tracker;
-  ObjectId id = ObjectId::FromName("a");
-  tracker.RecordPin(id, Loc(1, 0));
-  tracker.RecordPin(id, Loc(1, 0));
-  EXPECT_EQ(tracker.total_pins(), 2u);
-  EXPECT_TRUE(tracker.RecordUnpin(id));
-  EXPECT_EQ(tracker.total_pins(), 1u);
-  EXPECT_TRUE(tracker.RecordUnpin(id));
-  EXPECT_EQ(tracker.total_pins(), 0u);
-  // Unbalanced unpin detected.
-  EXPECT_FALSE(tracker.RecordUnpin(id));
-}
-
-TEST(UsageTrackerTest, SnapshotListsOutstanding) {
-  UsageTracker tracker;
-  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
-  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
-  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
-  auto snapshot = tracker.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  uint32_t total = 0;
-  for (const auto& o : snapshot) total += o.count;
-  EXPECT_EQ(total, 3u);
-}
-
-TEST(UsageTrackerTest, DropPinsForNodeForgetsOnlyThatNode) {
-  UsageTracker tracker;
-  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
-  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
-  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
-  EXPECT_EQ(tracker.DropPinsForNode(1), 2u);
-  EXPECT_EQ(tracker.total_pins(), 1u);
-  // Dropped pins count as unpins so the cumulative books stay balanced.
-  EXPECT_EQ(tracker.unpins_recorded(), 2u);
-  EXPECT_FALSE(tracker.RecordUnpin(ObjectId::FromName("a")));
-  EXPECT_TRUE(tracker.RecordUnpin(ObjectId::FromName("b")));
-  EXPECT_EQ(tracker.DropPinsForNode(1), 0u);
-}
-
-TEST(UsageTrackerTest, CountersAreCumulative) {
-  UsageTracker tracker;
-  ObjectId id = ObjectId::FromName("a");
-  tracker.RecordPin(id, Loc(1, 0));
-  ASSERT_TRUE(tracker.RecordUnpin(id));
-  tracker.RecordPin(id, Loc(1, 0));
-  EXPECT_EQ(tracker.pins_recorded(), 2u);
-  EXPECT_EQ(tracker.unpins_recorded(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // End-to-end tests of the mapped data plane (zero-RPC remote reads):
 // remote sealed Gets served as generation-stamped descriptors, payloads
 // copied straight from the mapped fabric region, a seqlock-style
-// generation re-check after every copy, and the pinned-RPC fallback
-// ladder when the check fails. The eviction and spill races live next
-// to their tiers (eviction_test.cpp, spill_tier_test.cpp); this file
-// covers the happy path, the counters, the pinned bypass, deletion, and
-// home-store restart (epoch) invalidation.
+// generation re-check after every copy, and the descriptor reissue when
+// the check fails. The eviction and spill races live next to their tiers
+// (eviction_test.cpp, spill_tier_test.cpp); this file covers the happy
+// path, the counters, deletion, and home-store restart (epoch)
+// invalidation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -56,9 +56,9 @@ TEST(MappedReadTest, RemoteGetServesValidatedDescriptor) {
   EXPECT_EQ(std::string(head, sizeof head), payload.substr(0, sizeof head));
   EXPECT_TRUE(buffer->is_mapped()) << "no fallback should have fired";
 
-  // Zero-RPC contract: the descriptor was resolved with a lookup but no
-  // pin/unpin RPC ever crossed the LAN, and the consumer-side store
-  // counted the mapped Get.
+  // Zero-RPC contract: the descriptor was resolved with a lookup and no
+  // other RPC crossed the LAN, and the consumer-side store counted the
+  // mapped Get.
   auto registry = (*cluster)->node(1)->registry().stats();
   EXPECT_EQ(registry.pin_rpcs, 0u);
   auto stats = (*consumer)->Stats();
@@ -69,36 +69,9 @@ TEST(MappedReadTest, RemoteGetServesValidatedDescriptor) {
   ASSERT_TRUE((*consumer)->Release(id).ok());
 }
 
-TEST(MappedReadTest, GetPinnedBypassesMappedPlane) {
-  auto cluster = Cluster::CreateTwoNode(MappedNode(), FastFabric());
-  ASSERT_TRUE(cluster.ok()) << cluster.status();
-  auto producer = (*cluster)->node(0)->CreateClient("producer");
-  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-
-  const ObjectId id = ObjectId::FromName("mapped-pinned-bypass");
-  const std::string payload = RandomPayload(2, 1 << 20);
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
-
-  auto buffer = (*consumer)->GetPinned(id, /*timeout_ms=*/2000);
-  ASSERT_TRUE(buffer.ok()) << buffer.status();
-  EXPECT_TRUE(buffer->is_remote());
-  EXPECT_FALSE(buffer->is_mapped());
-  auto crc = buffer->ChecksumData();
-  ASSERT_TRUE(crc.ok());
-  EXPECT_EQ(*crc, Crc32(payload));
-
-  // The pinned rung pays the pin RPC the mapped plane avoids.
-  EXPECT_GE((*cluster)->node(1)->registry().stats().pin_rpcs, 1u);
-  auto stats = (*consumer)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->mapped_reads, 0u);
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-}
-
-// A mapped descriptor holds no pin, so the home store may delete the
-// object outright. The next read must fail (KeyError through the
-// fallback ladder), never return whatever recycled the bytes.
+// A mapped descriptor holds nothing at the home, so the home store may
+// delete the object outright. The next read must fail (KeyError from the
+// reissued Get), never return whatever recycled the bytes.
 TEST(MappedReadTest, DeleteInvalidatesOutstandingDescriptor) {
   auto cluster = Cluster::CreateTwoNode(MappedNode(), FastFabric());
   ASSERT_TRUE(cluster.ok()) << cluster.status();
@@ -114,13 +87,14 @@ TEST(MappedReadTest, DeleteInvalidatesOutstandingDescriptor) {
   ASSERT_TRUE(buffer.ok()) << buffer.status();
   ASSERT_TRUE(buffer->is_mapped());
 
-  // No remote pin blocks the delete — exactly the hazard the generation
-  // protocol exists for.
+  // Nothing at the home blocks the delete — exactly the hazard the
+  // generation protocol exists for.
   ASSERT_TRUE((*producer)->Delete(id).ok());
 
   std::vector<uint8_t> scratch(payload.size());
   Status read = buffer->ReadData(0, scratch.data(), scratch.size());
   EXPECT_FALSE(read.ok()) << "read of a deleted mapped object succeeded";
+  EXPECT_EQ(read.code(), StatusCode::kKeyError) << read;
 
   auto stats = (*consumer)->Stats();
   ASSERT_TRUE(stats.ok());

@@ -94,6 +94,29 @@ TEST(ProtocolTest, GetRequestPreservesOrderAndTimeout) {
   EXPECT_EQ(d.timeout_ms, 2500u);
 }
 
+// The retired `pinned` flag keeps its wire slot (positional fields are
+// never removed): a reserved false byte still precedes `fallback`, and a
+// peer that sets the old flag is decoded without it mattering.
+TEST(ProtocolTest, GetRequestKeepsRetiredPinnedSlot) {
+  GetRequest m;
+  m.ids = {ObjectId::FromName("g")};
+  m.fallback = true;
+  wire::Writer w;
+  m.EncodeTo(w);
+  ASSERT_GE(w.size(), 2u);
+  EXPECT_EQ(w.data()[w.size() - 2], 0u);  // reserved slot
+  EXPECT_EQ(w.data()[w.size() - 1], 1u);  // fallback
+  EXPECT_TRUE(RoundTrip(m).fallback);
+
+  std::vector<uint8_t> old_peer(w.data(), w.data() + w.size());
+  old_peer[old_peer.size() - 2] = 1;  // an old client's pinned=true
+  wire::Reader r(old_peer.data(), old_peer.size());
+  auto decoded = GetRequest::DecodeFrom(r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->fallback);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(ProtocolTest, GetReplyLocalAndRemoteEntries) {
   GetReply m;
   GetReplyEntry local;
@@ -356,7 +379,7 @@ TEST(DistMessagesTest, LookupRoundTrip) {
   EXPECT_FALSE(d.entries[1].found);
 }
 
-TEST(DistMessagesTest, ProbeAndPin) {
+TEST(DistMessagesTest, ProbeRoundTrip) {
   ProbeRequest probe;
   probe.id = ObjectId::FromName("p");
   EXPECT_EQ(RoundTrip(probe).id, probe.id);
@@ -364,16 +387,6 @@ TEST(DistMessagesTest, ProbeAndPin) {
   ProbeReply preply;
   preply.exists = true;
   EXPECT_TRUE(RoundTrip(preply).exists);
-
-  PinRequest pin;
-  pin.id = ObjectId::FromName("pin");
-  pin.peer_node = 6;
-  PinRequest dpin = RoundTrip(pin);
-  EXPECT_EQ(dpin.peer_node, 6u);
-
-  PinReply pin_reply;
-  pin_reply.status = Status::KeyError("gone");
-  EXPECT_EQ(RoundTrip(pin_reply).status.code(), StatusCode::kKeyError);
 }
 
 }  // namespace

@@ -269,8 +269,8 @@ TEST(ReplicationTest, MappedReadFallsBackToSurvivingReplica) {
   producer->reset();
   ASSERT_TRUE((*cluster)->KillNode(0).ok());
 
-  // With the home dead, a fresh resolve must land a descriptor (or
-  // pinned buffer) against the surviving replica and read clean bytes.
+  // With the home dead, a fresh resolve must land a descriptor against
+  // the surviving replica and read clean bytes.
   ASSERT_TRUE(WaitUntil([&] {
     auto buffer = (*consumer)->Get(id, 500);
     if (!buffer.ok()) return false;

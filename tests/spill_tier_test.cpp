@@ -282,10 +282,6 @@ TEST_F(SpillTierTest, PeerLookupRestoresSpilledObjects) {
 
   auto stats = store_->stats();
   EXPECT_GE(stats.spill_restores, 1u);
-  // The peer may pin the restored object at the reported location.
-  ASSERT_TRUE(store_->PinForPeer(Id(1), /*peer_node=*/7).ok());
-  EXPECT_EQ(store_->RemotePins(Id(1)), 1u);
-  ASSERT_TRUE(store_->UnpinForPeer(Id(1), 7).ok());
 }
 
 // Spill/restore stress across 4 shards: concurrent pipelined clients
@@ -293,7 +289,7 @@ TEST_F(SpillTierTest, PeerLookupRestoresSpilledObjects) {
 // must survive every crossing.
 TEST_F(SpillTierTest, StressAcrossFourShards) {
   // 4 MiB arena per shard vs ~12 MiB hashed to each shard. Objects are
-  // 512 KiB so the worst case of one pinned restore per thread on the
+  // 512 KiB so the worst case of one referenced restore per thread on the
   // same shard (2 MiB) always leaves room for the next restore.
   StartStore(16 << 20, /*shards=*/4, /*spill=*/true);
   constexpr int kThreads = 4;
@@ -399,9 +395,9 @@ TEST_F(SpillTierTest, StopRemovesSpillFiles) {
 // Mapped data plane vs the spill tier: spilling an object frees its pool
 // bytes (and bumps its generation) while a remote reader may still hold
 // a mapped descriptor to the old offset. The racing read must detect the
-// mismatch and fall back to a pinned Get — which transparently restores
-// the object from disk — so the caller sees the ORIGINAL payload,
-// CRC-exact, never a torn copy of whatever recycled the arena bytes.
+// mismatch and reissue the Get — whose lookup transparently restores the
+// object from disk — so the caller sees the ORIGINAL payload, CRC-exact,
+// never a torn copy of whatever recycled the arena bytes.
 TEST(SpillMappedRaceTest, MappedReadRacingSpillFallsBackToRestoredBytes) {
   tf::FabricConfig config;
   config.local = tf::LatencyParams{0, 0.0};
@@ -426,7 +422,7 @@ TEST(SpillMappedRaceTest, MappedReadRacingSpillFallsBackToRestoredBytes) {
   ASSERT_TRUE(buffer.ok()) << buffer.status();
   ASSERT_TRUE(buffer->is_mapped());
 
-  // Fill the home pool: the second filler demotes the (unpinned) victim
+  // Fill the home pool: the second filler demotes the (unreferenced) victim
   // to the spill file and recycles its arena bytes.
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE((*producer)
@@ -438,17 +434,22 @@ TEST(SpillMappedRaceTest, MappedReadRacingSpillFallsBackToRestoredBytes) {
   auto home = (*cluster)->node(0)->store().stats();
   ASSERT_GT(home.spills, 0u) << "victim must have been spilled";
 
-  // The read detects the stale generation and falls back: the home store
-  // restores the victim from disk for the pinned lookup, and the caller
-  // gets the exact original bytes.
+  // The read detects the stale generation and reissues the descriptor:
+  // the consumer's lookup drops its stale cache entry, one lookup RPC
+  // reaches the home, the home restores the victim from disk, and the
+  // caller gets the exact original bytes through a fresh descriptor.
+  const uint64_t lookups_before =
+      (*cluster)->node(1)->registry().stats().lookup_rpcs;
   auto crc = buffer->ChecksumData();
   ASSERT_TRUE(crc.ok()) << crc.status();
   EXPECT_EQ(*crc, Crc32(payload)) << "fallback returned torn data";
-  EXPECT_FALSE(buffer->is_mapped()) << "buffer must be pinned after fallback";
+  EXPECT_TRUE(buffer->is_mapped()) << "reissue must yield a descriptor";
+  EXPECT_EQ((*cluster)->node(1)->registry().stats().lookup_rpcs,
+            lookups_before + 1);
 
   auto stats = (*consumer)->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->mapped_fallbacks, 1u);
+  EXPECT_EQ(stats->mapped_fallbacks, 1u);
   EXPECT_GE((*cluster)->node(0)->store().stats().spill_restores, 1u);
   ASSERT_TRUE((*consumer)->Release(victim).ok());
 }

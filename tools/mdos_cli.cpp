@@ -142,8 +142,9 @@ int CmdStats(plasma::PlasmaClient& client) {
               static_cast<unsigned long long>(stats->peer_reconnects));
   std::printf("peer_heartbeats:     %llu\n",
               static_cast<unsigned long long>(stats->peer_heartbeats));
-  // Mapped data plane (zero-RPC remote reads); all but
-  // generation_retries are zero when mapped_remote_reads is off.
+  // Mapped data plane (zero-RPC remote reads). mapped_reads,
+  // mapped_bytes and mapped_fallbacks stay zero with mapped_remote_reads
+  // off; generation_retries counts lookup-cache validation either way.
   std::printf("mapped_reads:        %llu\n",
               static_cast<unsigned long long>(stats->mapped_reads));
   std::printf("mapped_bytes:        %llu\n",

@@ -37,8 +37,8 @@ DEFAULT_BENCHES = [
 BENCH_ENV = {
     "bench_egress": {"MDOS_EGRESS_MB": "128"},
     "bench_crc32": {"MDOS_CRC_MB": "256"},
-    # The cluster benches pay a simulated 2 ms LAN RTT per RPC (the
-    # pinned baseline pays it per object), so trim repetitions.
+    # The cluster benches pay a simulated 2 ms LAN RTT per RPC, so trim
+    # repetitions.
     "bench_fig6_retrieval_latency": {"MDOS_REPS": "6"},
     "bench_scaleout_vs_disagg": {"MDOS_REPS": "6"},
     "bench_replication": {"MDOS_REPS": "6"},
